@@ -24,11 +24,11 @@ phi = math.pi / 2
 t = (0, 1, 0, 0, 2, 0, 0, 0, 0)
 exp = nb.NonlinearExperiment(w, v, nb.SingleModePhase(x, phi), s)
 a_pathsum = nb.nonlinear_amplitude(exp, t)
-a_single = nb.phase_gate_amplitude(w, x, phi, v, s, t)
+a_fourier = nb.phase_gate_amplitude(w, x, phi, v, s, t)
 a_split = nb.phase_gate_amplitude_split(w, x, phi, v, s, t)
 print("one amplitude, three routes:")
 print(f"  general path sum   {a_pathsum:+.12f}")
-print(f"  diagonal collapse  {a_single:+.12f}")
+print(f"  Fourier form       {a_fourier:+.12f}")
 print(f"  split form         {a_split:+.12f}")
 
 # ----------------------------------------------------------------------

@@ -55,6 +55,7 @@ from .gadget import (
     gadget_objective,
     gadget_residuals,
     gadget_to_json,
+    heralded_factors,
     load_gadget,
     optimize_gadget,
     reference_gadget,
@@ -102,6 +103,7 @@ from .nonlinear import (
     nonlinear_distribution,
     phase_gate_amplitude,
     phase_gate_amplitude_split,
+    photon_number_components,
 )
 from .simulate import (
     AcceptanceStats,

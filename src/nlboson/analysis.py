@@ -21,9 +21,11 @@ from .linear import Distribution, output_distribution
 from .nonlinear import (
     NonlinearExperiment,
     SingleModePhase,
+    _unit_sum_distribution,
     nonlinear_distribution,
+    photon_number_components,
 )
-from .simulate import build_setup, postselected_distribution
+from .simulate import _heralded_distribution
 
 __all__ = [
     "ExperimentRecord",
@@ -216,16 +218,19 @@ def _experiment_trial(args) -> list[ExperimentRecord]:
     v = haar_unitary(m, rng)
     x = mode_x if mode_x is not None else default_gate_mode(m)
     s = as_state((1,) * n + (0,) * (m - n))
+    # one set of photon-number components serves the reference and every k
+    space, components = photon_number_components(w, v, x, s)
     if reference == "gadget":
-        exact, _ = postselected_distribution(build_setup(w, v, x, s, gadgets[n]))
+        exact, _ = _heralded_distribution(space, components, gadgets[n].u_eff)
     elif reference == "pathsum":
-        exact = nonlinear_distribution(NonlinearExperiment(w, v, SingleModePhase(x, phi), s))
+        amps = SingleModePhase(x, phi).number_factors(n) @ components
+        exact = _unit_sum_distribution(space, amps, w, v)
     else:
         raise ValueError(f"unknown reference {reference!r} (use 'gadget' or 'pathsum')")
     intermediate = output_distribution(w, s)
     records = []
     for k in k_list:
-        dist_k, p_ps = postselected_distribution(build_setup(w, v, x, s, gadgets[k]))
+        dist_k, p_ps = _heralded_distribution(space, components, gadgets[k].u_eff)
         records.append(
             ExperimentRecord(
                 n=n,
@@ -263,10 +268,17 @@ def tvd_bunching_experiment(
     One (W, V) pair is drawn per (m, trial) and evaluated at every k, so the
     per-k comparison is paired.  Each trial derives its stream from
     (seed, m, trial); results do not depend on `workers`.  The exact
-    reference is the k=n simulation by default ('gadget'), or the direct
-    path sum ('pathsum').
+    reference is the k=n simulation by default ('gadget'), or the ideal gate
+    exp(-i n^2 phi) itself ('pathsum').  Each trial computes the
+    photon-number components of (W, V) once; the reference and every k are
+    factor vectors applied to them.
     """
     n = int(n)
+    too_few = [int(m) for m in m_list if int(m) < n]
+    if too_few:
+        raise DimensionError(
+            f"need m >= n to inject single photons, got n={n}, m={too_few[0]}"
+        )
     k_list = [int(k) for k in k_list]
     needed = set(k_list) | ({n} if reference == "gadget" else set())
     if gadgets is None:

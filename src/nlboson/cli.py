@@ -63,6 +63,48 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+# accepted JSON types of every experiment-config key; input_state is required
+_CONFIG_TYPES = {
+    "input_state": (str, list),
+    "m": (int,),
+    "seed": (int,),
+    "phi": (int, float),
+    "mode_x": (int,),
+    "w_matrix": (str, dict),
+    "v_matrix": (str, dict),
+    "gadget": (str, type(None)),
+}
+_JSON_TYPE_NAMES = {str: "a string", list: "an array", int: "an integer", float: "a number",
+                    dict: "an object", type(None): "null"}
+
+
+def _is_json_type(value, types) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _validate_config(cfg, path: str) -> None:
+    """Raise ValueError unless `cfg` is an experiment config the loader can use."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: experiment config must be a JSON object")
+    if "input_state" not in cfg:
+        raise ValueError(f"{path}: experiment config lacks the required key 'input_state'")
+    for key, types in _CONFIG_TYPES.items():
+        if key in cfg and not _is_json_type(cfg[key], types):
+            expected = " or ".join(_JSON_TYPE_NAMES[t] for t in types)
+            raise ValueError(
+                f"{path}: config key {key!r} must be {expected}, got {cfg[key]!r}"
+            )
+    state = cfg["input_state"]
+    if isinstance(state, list) and not all(_is_json_type(c, int) for c in state):
+        raise ValueError(f"{path}: input_state must list integer occupations, got {state!r}")
+    for key in ("w_matrix", "v_matrix"):
+        if isinstance(cfg.get(key), str) and cfg[key] != "haar":
+            raise ValueError(
+                f"{path}: config key {key!r} must be matrix JSON or \"haar\", got {cfg[key]!r}"
+            )
+
+
 def _load_experiment(path: str, phi_override: float | None = None):
     """Experiment config JSON -> (w, v, mode_x, phi, input_state, gadget_path).
 
@@ -70,6 +112,7 @@ def _load_experiment(path: str, phi_override: float | None = None):
     in which case they derive deterministically from the config's seed.
     """
     cfg = json.loads(Path(path).read_text())
+    _validate_config(cfg, path)
     state = cfg["input_state"]
     s = parse_state(state) if isinstance(state, str) else as_state(state)
     m = int(cfg.get("m", len(s)))

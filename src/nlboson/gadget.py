@@ -41,6 +41,7 @@ from .linalg import (
 __all__ = [
     "GadgetSpec",
     "expanded_gadget_matrix",
+    "heralded_factors",
     "success_probability",
     "gadget_residuals",
     "gadget_objective",
@@ -91,15 +92,32 @@ class GadgetSpec:
 
 
 def expanded_gadget_matrix(u_eff, l: int) -> np.ndarray:
-    """First row and column repeated l times (removed entirely for l = 0)."""
+    """First row and column repeated l times (removed entirely for l = 0).
+
+    Any l >= 0 is allowed: l > k describes more signal photons than the
+    gadget was designed for, which still herald (with an unintended factor).
+    """
     u = np.asarray(u_eff, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 2:
         raise DimensionError(f"expected a square matrix of size >= 2, got {u.shape}")
-    k = u.shape[0] - 1
-    if not 0 <= l <= k:
-        raise DimensionError(f"repetition count {l} out of range [0, {k}]")
-    idx = [0] * l + list(range(1, k + 1))
+    if l < 0:
+        raise DimensionError(f"repetition count must be >= 0, got {l}")
+    idx = [0] * l + list(range(1, u.shape[0]))
     return u[np.ix_(idx, idx)]
+
+
+def heralded_factors(u_eff, n: int) -> np.ndarray:
+    """Heralded signal factors per(u_eff^{l,1,...,1}) / l! for l = 0..n.
+
+    The signal's l-photon component is multiplied by the l-th factor when
+    every ancilla output holds one photon; photon conservation in the gadget
+    makes this hold for every l, including l > k.
+    """
+    u = np.asarray(u_eff, dtype=complex)
+    return np.array(
+        [permanent(expanded_gadget_matrix(u, l)) / math.factorial(l) for l in range(n + 1)],
+        dtype=complex,
+    )
 
 
 def success_probability(u_eff) -> float:
@@ -150,11 +168,7 @@ def apply_gadget(u_eff, coefficients) -> np.ndarray:
     c = np.asarray(coefficients, dtype=complex)
     if c.shape != (k + 1,):
         raise DimensionError(f"expected {k + 1} coefficients, got shape {c.shape}")
-    factors = np.array(
-        [permanent(expanded_gadget_matrix(u, l)) / math.factorial(l) for l in range(k + 1)],
-        dtype=complex,
-    )
-    return c * factors
+    return c * heralded_factors(u, k)
 
 
 # ---------------------------------------------------------------------------

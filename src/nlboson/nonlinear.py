@@ -3,10 +3,27 @@
 The sandwich is: linear network W, then a non-linear layer, then linear
 network V.  The workhorse non-linearity is the single-mode phase gate
 exp(-i * n_x^2 * phi), which multiplies each intermediate Fock state by
-exp(-i * r_x^2 * phi).  Amplitudes are Feynman path sums over the
-intermediate basis; the split form separates the linearizable part (the same
-circuit with a plain phase shifter in place of the gate) from bunching
-corrections with more than one photon at the gate site.
+exp(-i * r_x^2 * phi).
+
+Any layer that multiplies an intermediate state by a factor g_j depending
+only on the photon number j at one site x is fixed by n+1 photon-number
+components: A_j(T) sums the W -> V paths from the input to output T with
+exactly j photons at x, so the layer's amplitude is sum_j g_j A_j(T).
+Replacing the layer by a linear phase shifter exp(-i * n_x * theta) gives
+L_theta(T) = sum_j exp(-i j theta) A_j(T), so :func:`photon_number_components`
+evaluates L at the n+1 roots of unity -- n+1 linear passes through
+W F_theta V -- and inverts that discrete Fourier transform.  The ideal gate
+has g_j = exp(-i j^2 phi), a heralded gadget g_j = per(U^{j,1..1}) / j!
+(:func:`nlboson.gadget.heralded_factors`, used by :mod:`nlboson.simulate`),
+the linearized benchmark g_j = exp(-i j phi).
+
+Three routes to one amplitude are kept for cross-validation: the Feynman
+path sum over the intermediate basis (:func:`nonlinear_amplitude`, also the
+route for general diagonal and matrix gates), the Fourier form
+(:func:`phase_gate_amplitude`), and the split form, which separates the
+linearizable part (the same circuit with a plain phase shifter in place of
+the gate) from bunching corrections with more than one photon at the gate
+site (:func:`phase_gate_amplitude_split`).
 """
 
 from __future__ import annotations
@@ -43,6 +60,7 @@ __all__ = [
     "DiagonalGate",
     "MatrixGate",
     "NonlinearExperiment",
+    "photon_number_components",
     "nonlinear_amplitude",
     "phase_gate_amplitude",
     "phase_gate_amplitude_split",
@@ -57,7 +75,7 @@ def _guard_path_sum(m: int, n: int) -> None:
     size = space_size(m, n)
     if size > SAMPLING_SPACE_GUARD:
         raise StateSpaceTooLargeError(
-            f"path sum over m={m}, n={n} needs {size} intermediate states "
+            f"n={n} photons in m={m} modes span {size} intermediate states "
             f"(guard {SAMPLING_SPACE_GUARD})"
         )
 
@@ -70,7 +88,13 @@ class SingleModePhase:
     phi: float
 
     def factor(self, state: FockState) -> complex:
-        r = state[self.mode - 1]
+        return self._number_factor(state[self.mode - 1])
+
+    def number_factors(self, n: int) -> np.ndarray:
+        """Factors g_j = exp(-i j^2 phi) for j = 0..n photons at the gate site."""
+        return np.array([self._number_factor(j) for j in range(n + 1)], dtype=complex)
+
+    def _number_factor(self, r: int) -> complex:
         a = -(r * r) * self.phi
         return complex(math.cos(a), math.sin(a))
 
@@ -226,9 +250,28 @@ def nonlinear_amplitude(exp: NonlinearExperiment, output_state,
 
 def phase_gate_amplitude(w, mode_x: int, phi: float, v, input_state, output_state,
                          *, unitarity_tol: float = 1e-8) -> complex:
-    """Single-sum amplitude for the single-mode phase gate exp(-i n_x^2 phi)."""
-    exp = NonlinearExperiment(w, v, SingleModePhase(mode_x, phi), as_state(input_state))
-    return nonlinear_amplitude(exp, output_state, unitarity_tol=unitarity_tol)
+    """Single amplitude for exp(-i n_x^2 phi) from its photon-number components.
+
+    n+1 scalar permanents of (W F_theta V)_{S,T} at theta_q = 2 pi q/(n+1),
+    an inverse DFT to A_j(S -> T), then sum_j exp(-i j^2 phi) A_j.  Shares
+    no code with the path sum of :func:`nonlinear_amplitude`.
+    """
+    gate = SingleModePhase(mode_x, phi)
+    exp = NonlinearExperiment(w, v, gate, as_state(input_state))
+    w_u = require_unitary(exp.w, unitarity_tol, "phase_gate_amplitude: W")
+    v_u = require_unitary(exp.v, unitarity_tol, "phase_gate_amplitude: V")
+    s, n = exp.input_state, exp.n
+    t = as_state(output_state)
+    if len(t) != exp.m or photon_count(t) != n:
+        raise DimensionError(
+            f"output state {t} does not live in the {n}-photon {exp.m}-mode space"
+        )
+    passes = [
+        permanent(matrix_from_states(linearized_evolution(w_u, mode_x, theta, v_u), s, t))
+        for theta in _fourier_phases(n)
+    ]
+    norm = math.sqrt(normalization_product(s) * normalization_product(t))
+    return complex(gate.number_factors(n) @ _inverse_dft(np.array(passes)) / norm)
 
 
 def linearized_evolution(w, mode_x: int, phi: float, v) -> np.ndarray:
@@ -241,6 +284,62 @@ def linearized_evolution(w, mode_x: int, phi: float, v) -> np.ndarray:
     if w.shape != v.shape or w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise DimensionError(f"W and V must be equal square matrices, got {w.shape}, {v.shape}")
     return w @ phase_shifter(w.shape[0], mode_x, phi) @ v
+
+
+def _fourier_phases(n: int) -> list[float]:
+    """theta_q = 2 pi q / (n+1): the n+1 phases that resolve j = 0..n photons."""
+    return [2 * math.pi * q / (n + 1) for q in range(n + 1)]
+
+
+def _inverse_dft(passes: np.ndarray) -> np.ndarray:
+    """A_j = sum_q exp(i j theta_q) L_q / (n+1) along the first axis.
+
+    A dense (n+1) x (n+1) product: n is a photon number, so this is cheaper
+    than loading numpy.fft.
+    """
+    size = len(passes)
+    j = np.arange(size)
+    return np.exp(2j * np.pi * np.outer(j, j) / size) @ passes / size
+
+
+def photon_number_components(w, v, mode_x: int, input_state,
+                             *, unitarity_tol: float = 1e-8) -> tuple[StateSpace, np.ndarray]:
+    """Photon-number components A_j(T) of the sandwich W -> (mode x) -> V.
+
+    Returns ``(space, A)`` with A of shape (n+1, len(space)): A[j, i] sums the
+    normalized paths from `input_state` to ``space.states[i]`` that carry
+    exactly j photons at mode `mode_x` (1-based) between W and V.  A
+    single-mode diagonal layer with factors g_j has output amplitudes
+    ``g @ A``.
+
+    Costs n+1 batched linear passes, one per unitary W F_theta V at
+    theta_q = 2 pi q/(n+1), and an inverse DFT over q; the column-index and
+    normalization arrays are built once and shared by every pass.
+    """
+    w_u = require_unitary(w, unitarity_tol, "photon_number_components: W")
+    v_u = require_unitary(v, unitarity_tol, "photon_number_components: V")
+    s = as_state(input_state)
+    m, n = len(s), photon_count(s)
+    if w_u.shape != (m, m) or v_u.shape != (m, m):
+        raise DimensionError(
+            f"networks must be {m}x{m} for a {m}-mode input, got {w_u.shape} and {v_u.shape}"
+        )
+    if not 1 <= mode_x <= m:
+        raise DimensionError(f"gate mode {mode_x} out of range [1, {m}]")
+    _guard_path_sum(m, n)
+    space = enumerate_states(m, n)
+    occ = np.array(space.states, dtype=np.intp).reshape(len(space), m)
+    # each row of `occ` sums to n, so repeating mode labels by occupation
+    # yields one row of n column indices per output state
+    cols = np.repeat(np.tile(np.arange(m), len(space)), occ.ravel()).reshape(len(space), n)
+    rows = np.array(occupation_indices(s), dtype=np.intp)
+    factorials = np.array([math.factorial(j) for j in range(n + 1)], dtype=float)
+    norms = math.sqrt(normalization_product(s)) * np.sqrt(factorials[occ].prod(axis=1))
+    passes = np.array([
+        gathered_permanents(linearized_evolution(w_u, mode_x, theta, v_u), rows, cols)
+        for theta in _fourier_phases(n)
+    ])
+    return space, _inverse_dft(passes / norms)
 
 
 def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state, output_state,
@@ -284,9 +383,17 @@ def nonlinear_distribution(exp: NonlinearExperiment,
                            *, unitarity_tol: float = 1e-8) -> Distribution:
     """Full output distribution of the three-step evolution.
 
+    The single-mode phase gate takes the photon-number components
+    (n+1 linear passes); general diagonal and matrix gates take the path sum.
     The number-preserving gate keeps the evolution unitary, so the
     probabilities sum to one.
     """
+    if isinstance(exp.gate, SingleModePhase):
+        space, components = photon_number_components(
+            exp.w, exp.v, exp.gate.mode, exp.input_state, unitarity_tol=unitarity_tol
+        )
+        return _unit_sum_distribution(space, exp.gate.number_factors(exp.n) @ components,
+                                      exp.w, exp.v)
     require_unitary(exp.w, unitarity_tol, "nonlinear_distribution: W")
     require_unitary(exp.v, unitarity_tol, "nonlinear_distribution: V")
     space = exp.space()
@@ -303,10 +410,15 @@ def nonlinear_distribution(exp: NonlinearExperiment,
         for j, t in enumerate(space.states):
             pers_v = _second_leg_permanents(exp.v, space, t)
             amps[j] = np.sum(weights * pers_v) / math.sqrt(normalization_product(t))
+    return _unit_sum_distribution(space, amps, exp.w, exp.v)
+
+
+def _unit_sum_distribution(space: StateSpace, amps, w, v) -> Distribution:
+    """|amps|^2 over `space`, gated on summing to one as a unitary layer must."""
     probs = np.abs(amps) ** 2
     total = probs.sum()
-    dev = max(unitarity_deviation(exp.w), unitarity_deviation(exp.v))
-    tol = max(1e-9, 20 * exp.m * dev)
+    dev = max(unitarity_deviation(w), unitarity_deviation(v))
+    tol = max(1e-9, 20 * space.m * dev)
     if abs(total - 1.0) > tol:
         raise ValueError(
             f"non-linear distribution sums to {total!r}, expected 1 within {tol:.1e}"

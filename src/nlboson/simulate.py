@@ -6,6 +6,10 @@ photon each.  The whole (m+k)-mode circuit is linear; keeping only outcomes
 with exactly one photon per ancilla mode reproduces the non-linear evolution
 on the first m modes -- exactly when k matches the photon number, and up to
 bunching corrections when k is smaller.
+
+Rejection sampling draws from the enlarged system, as the experiment does;
+the post-selected distribution is computed without it, as a single-mode
+diagonal layer on the photon-number components of :mod:`nlboson.nonlinear`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .errors import (
 )
 from .fock import (
     FockState,
+    StateSpace,
     as_state,
     concat_states,
     enumerate_states,
@@ -31,9 +36,10 @@ from .fock import (
     photon_count,
     space_size,
 )
-from .gadget import GadgetSpec
+from .gadget import GadgetSpec, heralded_factors
 from .linalg import direct_sum, gathered_permanents, unitarity_deviation
 from .linear import SAMPLING_SPACE_GUARD, Distribution, _inverse_sample
+from .nonlinear import photon_number_components
 
 __all__ = [
     "SimulationSetup",
@@ -117,26 +123,27 @@ def build_setup(w, v, mode_x: int, input_state, gadget: GadgetSpec) -> Simulatio
 def postselected_distribution(setup: SimulationSetup) -> tuple[Distribution, float]:
     """Distribution over the first m modes given one photon per ancilla mode.
 
-    Returns (renormalized distribution, kept probability mass).  Only the kept
-    outcomes are enumerated: each is one amplitude of the enlarged unitary.
+    Returns (renormalized distribution, kept probability mass).  The heralded
+    amplitude of output T (with 1..1 on the ancillas) is sum_j g_j A_j(T):
+    the photon-number components A of W -> (mode x) -> V
+    (:func:`~nlboson.nonlinear.photon_number_components`) weighted by the
+    gadget's heralded factors g_j = per(U^{j,1..1}) / j! for j = 0..n
+    (:func:`~nlboson.gadget.heralded_factors`).  That equals the enlarged
+    unitary's amplitude for every k, below, at and above n, without
+    materializing the enlarged system; the kept mass is the sum of the
+    squared moduli.
     """
-    m, n, k = setup.m, setup.n, setup.k
-    if space_size(m, n) > SAMPLING_SPACE_GUARD:
-        raise StateSpaceTooLargeError(
-            f"postselected space for m={m}, n={n} exceeds the {SAMPLING_SPACE_GUARD} guard"
-        )
-    space = enumerate_states(m, n)
-    rows = np.array(occupation_indices(setup.enlarged_input), dtype=np.intp)
-    anc_cols = list(range(m, m + k))
-    cols = np.array(
-        [occupation_indices(t) + anc_cols for t in space.states], dtype=np.intp
+    space, components = photon_number_components(
+        setup.w, setup.v, setup.mode_x, setup.input_state
     )
-    pers = gathered_permanents(setup.enlarged_unitary, rows, cols)
-    norm_in = math.sqrt(normalization_product(setup.enlarged_input))
-    norms_out = np.sqrt(
-        np.array([normalization_product(t) for t in space.states], dtype=float)
-    )
-    raw = np.abs(pers / (norm_in * norms_out)) ** 2
+    return _heralded_distribution(space, components, setup.gadget.u_eff)
+
+
+def _heralded_distribution(space: StateSpace, components: np.ndarray,
+                           u_eff) -> tuple[Distribution, float]:
+    """(renormalized distribution, kept mass) from photon-number components."""
+    factors = heralded_factors(u_eff, components.shape[0] - 1)
+    raw = np.abs(factors @ components) ** 2
     p_ps = float(raw.sum())
     if p_ps <= 0.0:
         raise PostselectionError(

@@ -175,10 +175,10 @@ def test_criterion_07_equation_cross_validation():
         phi = float(rng.uniform(0, 2 * math.pi))
         exp = NonlinearExperiment(w, v, SingleModePhase(x, phi), s)
         a_general = nonlinear_amplitude(exp, t)
-        a_single = phase_gate_amplitude(w, x, phi, v, s, t)
+        a_fourier = phase_gate_amplitude(w, x, phi, v, s, t)
         a_split = phase_gate_amplitude_split(w, x, phi, v, s, t)
         worst_pair = max(
-            worst_pair, abs(a_general - a_single), abs(a_single - a_split),
+            worst_pair, abs(a_general - a_fourier), abs(a_fourier - a_split),
             abs(a_general - a_split),
         )
     worst_comp = 0.0
@@ -193,7 +193,7 @@ def test_criterion_07_equation_cross_validation():
     ok = worst_pair <= 1e-12 and worst_comp <= 1e-9
     report(
         7,
-        "path sum, single sum and split form agree; composition identity",
+        "path sum, Fourier form and split form agree; composition identity",
         ok,
         f"max pairwise gap {worst_pair:.1e} over 50 instances, "
         f"max composition residual {worst_comp:.1e}",

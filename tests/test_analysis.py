@@ -288,6 +288,12 @@ def test_more_ancillas_rarely_hurt(gadget_k1, gadget_k2, gadget_k3):
     assert wins >= 0.9 * len(by_trial)
 
 
+def test_experiment_rejects_more_photons_than_modes():
+    # no gadget map: the check must fire before any synthesis or Haar draw
+    with pytest.raises(DimensionError, match="n=3, m=2"):
+        tvd_bunching_experiment(3, [4, 2], [1], 1.0, trials=1, seed=0)
+
+
 def test_experiment_missing_gadget_detected(gadget_k1):
     with pytest.raises(ValueError):
         tvd_bunching_experiment(

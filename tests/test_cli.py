@@ -92,6 +92,23 @@ def test_nonlinear_distribution_command(tmp_path):
     assert len(lines) == 4  # three two-photon states on two modes
 
 
+@pytest.mark.parametrize("cfg,fragment", [
+    ({"seed": 3}, "'input_state'"),
+    ([1, 1], "JSON object"),
+    ({"input_state": "1,1", "m": "2"}, "'m' must be an integer"),
+    ({"input_state": [1, 0.5]}, "integer occupations"),
+    ({"input_state": "1,1", "w_matrix": "identity"}, "'w_matrix'"),
+])
+def test_malformed_config_is_an_error_line(tmp_path, capsys, cfg, fragment):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o.csv"
+    assert main(["nonlinear-distribution", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_simulate_command(tmp_path, gadget_k2_pi4, capsys):
     gadget_path = tmp_path / "g2.json"
     save_gadget(gadget_path, gadget_k2_pi4)

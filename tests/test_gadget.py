@@ -14,6 +14,7 @@ from nlboson import (
     gadget_objective,
     gadget_residuals,
     gadget_to_json,
+    heralded_factors,
     load_gadget,
     optimize_gadget,
     permanent_naive,
@@ -52,9 +53,27 @@ def test_expansion_repeats_first_row_and_column():
 
 def test_expansion_range_check():
     with pytest.raises(DimensionError):
-        expanded_gadget_matrix(np.eye(3), 3)
-    with pytest.raises(DimensionError):
         expanded_gadget_matrix(np.eye(3), -1)
+    with pytest.raises(DimensionError):
+        expanded_gadget_matrix(np.eye(1), 0)
+
+
+def test_expansion_beyond_the_ancilla_count():
+    # more signal photons than ancillas (l > k) still expand row/column 0
+    u = np.arange(9, dtype=complex).reshape(3, 3)
+    for l in (3, 5):
+        idx = [0] * l + [1, 2]
+        assert np.array_equal(expanded_gadget_matrix(u, l), u[np.ix_(idx, idx)])
+
+
+def test_heralded_factors_extend_apply_gadget(gadget_k2):
+    u = gadget_k2.u_eff
+    factors = heralded_factors(u, 4)
+    assert np.allclose(factors[:3], apply_gadget(u, np.ones(3)), atol=1e-15)
+    for l in (3, 4):
+        assert factors[l] == pytest.approx(
+            permanent_naive(expanded_gadget_matrix(u, l)) / math.factorial(l), abs=1e-12
+        )
 
 
 # ---------------------------------------------------------------------------

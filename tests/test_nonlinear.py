@@ -19,6 +19,7 @@ from nlboson import (
     phase_gate_amplitude,
     phase_gate_amplitude_split,
     phase_shifter,
+    photon_number_components,
     tvd,
     unitarity_deviation,
 )
@@ -100,10 +101,10 @@ def test_three_forms_agree(m, n, seed):
     for _ in range(6):
         t = space.states[int(rng.integers(len(space)))]
         a_general = nonlinear_amplitude(exp, t)
-        a_single = phase_gate_amplitude(w, x, phi, v, s, t)
+        a_fourier = phase_gate_amplitude(w, x, phi, v, s, t)
         a_split = phase_gate_amplitude_split(w, x, phi, v, s, t)
-        assert abs(a_general - a_single) < 1e-12
-        assert abs(a_single - a_split) < 1e-12
+        assert abs(a_general - a_fourier) < 1e-12
+        assert abs(a_fourier - a_split) < 1e-12
 
 
 def test_split_form_has_no_corrections_for_single_photon():
@@ -122,6 +123,59 @@ def test_phase_pi_equals_linearized_evolution():
     for t in [(3, 0, 0, 0), (1, 1, 1, 0), (0, 2, 0, 1)]:
         got = phase_gate_amplitude(w, 2, math.pi, v, s, t)
         assert got == pytest.approx(amplitude(ubar, s, t), abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# photon-number components
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m,n,seed", [(2, 2, 50), (3, 2, 51), (3, 3, 52), (4, 2, 53)])
+def test_components_match_operator_path_sum_oracle(m, n, seed):
+    w, v = haar_pair(m, seed)
+    rng = np.random.default_rng(seed + 100)
+    space = enumerate_states(m, n)
+    s = space.states[int(rng.integers(len(space)))]
+    x = int(rng.integers(1, m + 1))
+    phi = float(rng.uniform(0, 2 * math.pi))
+    got_space, comps = photon_number_components(w, v, x, s)
+    assert got_space == space and comps.shape == (n + 1, len(space))
+    dist = nonlinear_distribution(NonlinearExperiment(w, v, SingleModePhase(x, phi), s))
+    for i, t in enumerate(space.states):
+        # each component is the path sum restricted to j photons at the site
+        for j in range(n + 1):
+            want = three_step_amplitude(w, lambda r: float(r[x - 1] == j), v, s, t)
+            assert abs(comps[j, i] - want) <= 1e-12
+        want = three_step_amplitude(
+            w, lambda r: complex(math.cos(r[x - 1] ** 2 * phi), -math.sin(r[x - 1] ** 2 * phi)),
+            v, s, t,
+        )
+        assert abs(dist.probs[i] - abs(want) ** 2) <= 1e-12
+
+
+def test_components_sum_to_the_linear_composite():
+    # all-ones factors make the layer the identity
+    w, v = haar_pair(4, 54)
+    s = (1, 0, 2, 0)
+    space, comps = photon_number_components(w, v, 3, s)
+    want = [amplitude(w @ v, s, t) for t in space]
+    assert np.abs(comps.sum(axis=0) - want).max() <= 1e-12
+
+
+def test_components_vacuum_input():
+    w, v = haar_pair(3, 55)
+    space, comps = photon_number_components(w, v, 2, (0, 0, 0))
+    assert len(space) == 1 and comps.shape == (1, 1)
+    assert comps[0, 0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_components_validation():
+    w, v = haar_pair(3, 56)
+    with pytest.raises(DimensionError):
+        photon_number_components(w, v, 4, (1, 1, 0))
+    with pytest.raises(DimensionError):
+        photon_number_components(w, v, 1, (1, 1))
+    with pytest.raises(ValueError):
+        photon_number_components(2 * w, v, 1, (1, 1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from nlboson import (
 )
 from nlboson.linear import Distribution
 
+from .oracles import operator_expansion_amplitude
+
 BS = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 
@@ -91,6 +93,25 @@ def test_kept_plus_discarded_mass_is_one(gadget_k2):
     )
     assert heralded_mass == pytest.approx(p_ps, abs=1e-12)
     assert enlarged.total() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n,k,seed", [(3, 1, 80), (3, 2, 81), (2, 2, 82), (2, 3, 83)])
+def test_postselection_matches_enlarged_unitary_oracle(n, k, seed):
+    # k < n, k = n and k > n, with a generic (not gate-realizing) gadget
+    rng = np.random.default_rng(seed)
+    m = 3
+    w, v = haar_unitary(m, rng), haar_unitary(m, rng)
+    gadget = GadgetSpec(k, 0.0, haar_unitary(k + 1, rng), 0.0, 0.0)
+    s = (1,) * n + (0,) * (m - n)
+    setup = build_setup(w, v, int(rng.integers(1, m + 1)), s, gadget)
+    dist, p_ps = postselected_distribution(setup)
+    raw = np.array([
+        abs(operator_expansion_amplitude(
+            setup.enlarged_unitary, setup.enlarged_input, t + (1,) * k)) ** 2
+        for t in dist.space
+    ])
+    assert abs(p_ps - raw.sum()) <= 1e-12
+    assert np.abs(dist.probs - raw / raw.sum()).max() <= 1e-12
 
 
 def test_heralded_hong_ou_mandel(gadget_k2_pi4):
