@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DimensionError, StateSpaceTooLargeError
 
 FockState = tuple[int, ...]
@@ -155,3 +157,24 @@ class StateSpace:
 def enumerate_states(m: int, n: int) -> StateSpace:
     """Materialize the space of n photons in m modes."""
     return StateSpace(m, n)
+
+
+def _index_arrays(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Every state's occupation indices and normalization product, as arrays.
+
+    Returns ``(indices, norms)``: row i of the (len(space), n) integer array
+    is ``occupation_indices(space.states[i])`` and ``norms[i]`` is
+    ``float(normalization_product(space.states[i]))``, without a per-state
+    Python call.
+    """
+    m, n, size = space.m, space.n, len(space)
+    occ = np.array(space.states, dtype=np.intp).reshape(size, m)
+    # each row of `occ` sums to n, so repeating the mode labels by occupation
+    # yields one row of n indices per state
+    indices = np.repeat(np.tile(np.arange(m), size), occ.ravel()).reshape(size, n)
+    # exact integer products (every product divides n!), rounded once to float
+    # as float(normalization_product(state)) is
+    dtype = np.int64 if n <= 20 else object
+    factorials = np.array([math.factorial(j) for j in range(n + 1)], dtype=dtype)
+    norms = factorials[occ].prod(axis=1).astype(float)
+    return indices, norms

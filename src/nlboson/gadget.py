@@ -19,10 +19,12 @@ penalty keeping the success probability above a chosen threshold.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
@@ -31,9 +33,9 @@ from .errors import DimensionError, GadgetSynthesisError, NotUnitaryError
 from .linalg import (
     ReckParams,
     _mesh_unitary,
+    _ryser_gray,
     matrix_from_json,
     matrix_to_json,
-    permanent,
     reck_to_unitary,
     unitarity_deviation,
 )
@@ -91,15 +93,22 @@ class GadgetSpec:
         object.__setattr__(self, "u_eff", u)
 
 
+def _checked_gadget_matrix(u_eff) -> np.ndarray:
+    u = np.asarray(u_eff, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 2:
+        raise DimensionError(f"expected a square matrix of size >= 2, got {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("matrix contains non-finite entries")
+    return u
+
+
 def expanded_gadget_matrix(u_eff, l: int) -> np.ndarray:
     """First row and column repeated l times (removed entirely for l = 0).
 
     Any l >= 0 is allowed: l > k describes more signal photons than the
     gadget was designed for, which still herald (with an unintended factor).
     """
-    u = np.asarray(u_eff, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 2:
-        raise DimensionError(f"expected a square matrix of size >= 2, got {u.shape}")
+    u = _checked_gadget_matrix(u_eff)
     if l < 0:
         raise DimensionError(f"repetition count must be >= 0, got {l}")
     idx = [0] * l + list(range(1, u.shape[0]))
@@ -113,30 +122,103 @@ def heralded_factors(u_eff, n: int) -> np.ndarray:
     every ancilla output holds one photon; photon conservation in the gadget
     makes this hold for every l, including l > k.
     """
-    u = np.asarray(u_eff, dtype=complex)
-    return np.array(
-        [permanent(expanded_gadget_matrix(u, l)) / math.factorial(l) for l in range(n + 1)],
-        dtype=complex,
-    )
+    u = _checked_gadget_matrix(u_eff)
+    if n < 0:
+        raise DimensionError(f"photon number must be >= 0, got {n}")
+    return _expanded_permanents(u, n) / _glynn_tables(u.shape[0] - 1, n).factorials
 
 
 def success_probability(u_eff) -> float:
     """Heralding probability |per(u_eff with row/column 1 removed)|^2."""
-    return abs(permanent(expanded_gadget_matrix(u_eff, 0))) ** 2
+    return _heralding_probability(_checked_gadget_matrix(u_eff))
 
 
 def gadget_residuals(u_eff, phi: float) -> np.ndarray:
     """Condition residuals per(u^{l,..}) - l! * per(u^{0,..}) * e^{-i l^2 phi}."""
-    u = np.asarray(u_eff, dtype=complex)
+    u = _checked_gadget_matrix(u_eff)
     k = u.shape[0] - 1
-    per0 = permanent(expanded_gadget_matrix(u, 0))
-    out = np.empty(k, dtype=complex)
-    for l in range(1, k + 1):
-        target = math.factorial(l) * per0 * complex(
-            math.cos(l * l * phi), -math.sin(l * l * phi)
-        )
-        out[l - 1] = permanent(expanded_gadget_matrix(u, l)) - target
-    return out
+    pers = _expanded_permanents(u, k)
+    return pers[1:] - pers[0] * _phase_targets(k, float(phi))
+
+
+class _GlynnTables(NamedTuple):
+    counts: np.ndarray  # (P, k+1) column coefficients (c, delta_1..delta_k) per term
+    weights: np.ndarray  # (P, n+1) the term's weight in per_l, zero where it has none
+    exponents: np.ndarray  # (n+1,) l = 0..n
+    factorials: np.ndarray  # (n+1,) l!
+
+
+@functools.lru_cache(maxsize=None)
+def _glynn_tables(k: int, n: int) -> _GlynnTables:
+    """Terms of the multiplicity-aware Glynn sum for k ancillas and l <= n.
+
+    One term per (c, delta): c = -n..n is the signed count of the copies of
+    column 0 and delta in {+1, -1}^k, with delta_k = +1, signs the ancilla
+    columns.  For a given l the term enters with weight
+    2^(1-l-k) (-1)^mu C(l, mu) prod(delta), mu = (l - c)/2, when |c| <= l and
+    l - c is even.
+    """
+    deltas = 1 - 2 * ((np.arange(1 << (k - 1))[:, None] >> np.arange(k)) & 1)  # delta_k = +1
+    c = np.repeat(np.arange(-n, n + 1), len(deltas))
+    signs = np.tile(deltas, (2 * n + 1, 1))
+    sign_products = signs.prod(axis=1)
+    weights = np.zeros((len(c), n + 1))
+    for l in range(n + 1):
+        mu, odd = np.divmod(l - c, 2)
+        ok = (np.abs(c) <= l) & (odd == 0)
+        binom = np.array([math.comb(l, int(v)) for v in mu[ok]], dtype=float)
+        weights[ok, l] = (-1.0) ** mu[ok] * binom * sign_products[ok] * 2.0 ** (1 - l - k)
+    tables = _GlynnTables(
+        counts=np.column_stack([c, signs]).astype(complex),
+        weights=weights,
+        exponents=np.arange(n + 1),
+        factorials=np.array([math.factorial(l) for l in range(n + 1)], dtype=float),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _expanded_permanents(u: np.ndarray, n: int) -> np.ndarray:
+    """per(u^{l,1,...,1}) for l = 0..n in one pass; `u` is a checked gadget matrix.
+
+    Glynn's formula on the expanded matrix, per(A) = 2^(1-N) times the sum
+    over sign vectors d (one entry fixed to +1) of
+    prod(d) prod_i (sum_j d_j A_ij), with the l copies of column 0 grouped
+    by how many of them carry -1 (mu of them, C(l, mu) ways; the Walrus
+    evaluates permanents with repeated rows the same way).  Row 0's l copies
+    share one row sum, so with c = l - 2 mu
+
+        per_l = 2^(1-l-k) sum_{mu=0..l} sum_{delta, delta_k=+1} (-1)^mu C(l, mu)
+                prod(delta) r_0^l prod_{i>=1} r_i,
+        r_i = c u[i, 0] + sum_{j=1..k} delta_j u[i, j].
+
+    The terms for every l come from one (2n+1) 2^(k-1) table of row sums,
+    instead of one 2^(l+k)-term sum per l.  The signed sums keep the row sums
+    small, which makes this about a hundred times more accurate than the
+    subset (Ryser) form of the same grouping at k = 4, l = 5.
+    """
+    tables = _glynn_tables(u.shape[0] - 1, n)
+    sums = tables.counts @ u.T  # sums[p, i] = r_i of term p
+    terms = sums[:, :1] ** tables.exponents * tables.weights
+    return sums[:, 1:].prod(axis=1) @ terms
+
+
+@functools.lru_cache(maxsize=64)
+def _phase_targets(k: int, phi: float) -> np.ndarray:
+    """l! e^{-i l^2 phi} for l = 1..k, the condition targets per unit per_0."""
+    targets = np.array(
+        [math.factorial(l) * complex(math.cos(l * l * phi), -math.sin(l * l * phi))
+         for l in range(1, k + 1)],
+        dtype=complex,
+    )
+    targets.setflags(write=False)
+    return targets
+
+
+def _heralding_probability(u: np.ndarray) -> float:
+    """|per(u[1:, 1:])|^2 for a checked gadget matrix (scalar Ryser on the minor)."""
+    return abs(_ryser_gray(u[1:, 1:].T.tolist())) ** 2
 
 
 def _objective_of_matrix(u_eff, phi: float) -> float:
@@ -197,20 +279,17 @@ def _random_raw(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _residual_vector(x, m, phi, p_th, lam) -> np.ndarray:
+    """Real and imaginary parts of every condition residual, interleaved,
+    then the weighted success shortfall sqrt(lam) * max(0, p_th - p)."""
     u = _matrix_from_raw(x, m)
     res = gadget_residuals(u, phi)
-    shortfall = max(0.0, p_th - success_probability(u))
-    parts = np.empty(2 * len(res) + 1)
-    parts[0 : 2 * len(res) : 2] = res.real
-    parts[1 : 2 * len(res) : 2] = res.imag
-    parts[-1] = math.sqrt(lam) * shortfall
-    return parts
+    shortfall = max(0.0, p_th - _heralding_probability(u))
+    return np.append(res.view(float), math.sqrt(lam) * shortfall)
 
 
 def _penalized_objective(x, m, phi, p_th, lam) -> float:
-    u = _matrix_from_raw(x, m)
-    shortfall = max(0.0, p_th - success_probability(u))
-    return _objective_of_matrix(u, phi) + lam * shortfall * shortfall
+    parts = _residual_vector(x, m, phi, p_th, lam)
+    return float(parts @ parts)
 
 
 def optimize_gadget(
@@ -277,7 +356,7 @@ def optimize_gadget(
                 max_nfev=int(budget),
             )
             x = ls.x
-            if success_probability(_matrix_from_raw(x, m)) >= p_th:
+            if _heralding_probability(_matrix_from_raw(x, m)) >= p_th:
                 break
             lam *= 10.0
         u = _matrix_from_raw(x, m)

@@ -13,6 +13,7 @@ These two choices are mutually consistent: the permanent composition identity
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NotUnitaryError
+from .errors import DimensionError, NotUnitaryError, StateSpaceTooLargeError
 from .fock import occupation_indices, photon_count
 
 __all__ = [
@@ -47,6 +48,11 @@ __all__ = [
 ]
 
 _NAIVE_MAX_SIZE = 9
+
+# Working memory the batched Ryser kernel may allocate: its (2^s - 1, s)
+# subset masks plus one chunk of (2^s - 1, s) complex row sums.
+MAX_PERMANENTS_BYTES = 1 << 30
+_ROW_SUM_CHUNK = 4_000_000  # complex entries per chunk of row sums
 
 
 def _as_square(mat) -> np.ndarray:
@@ -89,12 +95,20 @@ def permanent(mat) -> complex:
     (required so vacuum amplitudes come out right).
     """
     a = _as_square(mat)
-    n = a.shape[0]
+    return _ryser_gray(a.T.tolist())
+
+
+def _ryser_gray(cols: list[list[complex]]) -> complex:
+    """Scalar Gray-code Ryser on a square matrix given as its list of columns.
+
+    Pure Python and unchecked: the kernel behind :func:`permanent`, also used
+    directly where the caller already holds a validated matrix.
+    """
+    n = len(cols)
     if n == 0:
         return 1 + 0j
     if n == 1:
-        return complex(a[0, 0])
-    cols = [tuple(map(complex, a[:, j])) for j in range(n)]
+        return complex(cols[0][0])
     row_sums = [0j] * n
     total = 0j
     sign = 1.0  # (-1)^|S|, starts at |S|=0
@@ -135,19 +149,37 @@ def permanents(mats) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     if n == 0:
         return np.ones(batch, dtype=complex)
+    n_subsets = (1 << n) - 1
+    # chunk so the (chunk, S, n) row-sum tensor stays small
+    chunk = max(1, _ROW_SUM_CHUNK // (n_subsets * n))
+    needed = _permanents_bytes(min(chunk, batch), n)
+    if needed > MAX_PERMANENTS_BYTES:
+        raise StateSpaceTooLargeError(
+            f"batched Ryser permanents of {n}x{n} matrices need about "
+            f"{needed / 2**20:.0f} MiB of working memory "
+            f"(cap {MAX_PERMANENTS_BYTES / 2**20:.0f} MiB); reduce the photon number"
+        )
     subsets = np.arange(1, 1 << n, dtype=np.int64)
     masks = ((subsets[:, None] >> np.arange(n)) & 1).astype(float)  # (S, n)
     signs = np.where(masks.sum(axis=1).astype(int) % 2 == 0, 1.0, -1.0)
     if n % 2:
         signs = -signs
     out = np.empty(batch, dtype=complex)
-    # chunk so the (chunk, S, n) row-sum tensor stays small
-    chunk = max(1, int(4_000_000 // (masks.shape[0] * n)))
     for lo in range(0, batch, chunk):
         block = a[lo : lo + chunk]
         row_sums = np.einsum("sj,bij->bsi", masks, block)
         out[lo : lo + chunk] = row_sums.prod(axis=2) @ signs
     return out
+
+
+def _permanents_bytes(chunk: int, n: int) -> int:
+    """Peak working memory of :func:`permanents` for one chunk of s = n.
+
+    Float masks (S, n), int subset labels and signs (S), complex row sums
+    (chunk, S, n) and their products (chunk, S), with S = 2^n - 1.
+    """
+    n_subsets = (1 << n) - 1
+    return n_subsets * (8 * n + 16) + chunk * n_subsets * (16 * n + 16)
 
 
 def gathered_permanents(U, row_indices, col_indices) -> np.ndarray:
@@ -284,25 +316,34 @@ def random_reck_params(m: int, rng: np.random.Generator) -> ReckParams:
     )
 
 
-def _mesh_channels(m: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _mesh_channels(m: int) -> tuple[int, ...]:
     # Adjacent-pair channel sequence of the triangular mesh, in synthesis
     # order (reverse of the row-by-row elimination order).
     elimination = [j for i in range(m - 1) for j in range(m - 2, i - 1, -1)]
-    return list(reversed(elimination))
+    return tuple(reversed(elimination))
 
 
 def _mesh_unitary(m: int, thetas, phis, output_phases) -> np.ndarray:
-    u = np.diag(np.exp(1j * np.asarray(output_phases, dtype=float)))
-    for k, ch in enumerate(_mesh_channels(m)):
-        c, s = math.cos(thetas[k]), math.sin(thetas[k])
-        eip = complex(math.cos(phis[k]), math.sin(phis[k]))
-        t = np.eye(m, dtype=complex)
-        t[ch, ch] = eip * c
-        t[ch, ch + 1] = -s
-        t[ch + 1, ch] = eip * s
-        t[ch + 1, ch + 1] = c
-        u = u @ t
-    return u
+    # diag(e^{i output_phases}) times one two-mode rotation per mesh element;
+    # each rotation mixes only columns ch and ch+1, so it is applied to those
+    # two columns instead of as a full m x m product.
+    cols = [[0j] * m for _ in range(m)]
+    for j, a in enumerate(np.asarray(output_phases, dtype=float).tolist()):
+        cols[j][j] = complex(math.cos(a), math.sin(a))
+    angles = zip(
+        _mesh_channels(m),
+        np.asarray(thetas, dtype=float).tolist(),
+        np.asarray(phis, dtype=float).tolist(),
+    )
+    for ch, theta, phi in angles:
+        c, s = math.cos(theta), math.sin(theta)
+        eip = complex(math.cos(phi), math.sin(phi))
+        ec, es = eip * c, eip * s
+        left, right = cols[ch], cols[ch + 1]
+        cols[ch] = [x * ec + y * es for x, y in zip(left, right)]
+        cols[ch + 1] = [y * c - x * s for x, y in zip(left, right)]
+    return np.array(cols, dtype=complex).T
 
 
 def reck_to_unitary(params: ReckParams) -> np.ndarray:

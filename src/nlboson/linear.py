@@ -15,6 +15,7 @@ from .errors import DimensionError, StateSpaceTooLargeError
 from .fock import (
     FockState,
     StateSpace,
+    _index_arrays,
     as_state,
     enumerate_states,
     normalization_product,
@@ -99,11 +100,10 @@ def _amplitudes_to_all(U, input_state, space: StateSpace) -> np.ndarray:
     if photon_count(s) == 0:
         return np.ones(len(space), dtype=complex)
     rows = np.array(occupation_indices(s), dtype=np.intp)
-    cols = np.array([occupation_indices(t) for t in space.states], dtype=np.intp)
+    cols, norms = _index_arrays(space)
     pers = gathered_permanents(u, rows, cols)
     norm_in = math.sqrt(normalization_product(s))
-    norms_out = np.sqrt(np.array([normalization_product(t) for t in space.states], dtype=float))
-    return pers / (norm_in * norms_out)
+    return pers / (norm_in * np.sqrt(norms))
 
 
 def output_distribution(U, input_state, *, unitarity_tol: float = 1e-8) -> Distribution:

@@ -38,6 +38,7 @@ from .errors import DimensionError, StateSpaceTooLargeError
 from .fock import (
     FockState,
     StateSpace,
+    _index_arrays,
     as_state,
     enumerate_states,
     normalization_product,
@@ -186,31 +187,29 @@ class NonlinearExperiment:
         return enumerate_states(self.m, self.n)
 
 
-def _path_weights(w, input_state, space: StateSpace) -> np.ndarray:
+def _path_weights(w, input_state, indices: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """per(W_{S,R}) / (sqrt(prod s!) * prod r!) for every intermediate R.
 
-    These weights do not depend on the output state, so one evaluation is
-    shared across the whole distribution.
+    `indices` and `norms` are the intermediate space's arrays from
+    :func:`~nlboson.fock._index_arrays`.  These weights do not depend on the
+    output state, so one evaluation is shared across the whole distribution.
     """
     s = as_state(input_state)
     if photon_count(s) == 0:
-        return np.ones(len(space), dtype=complex)
+        return np.ones(len(norms), dtype=complex)
     rows = np.array(occupation_indices(s), dtype=np.intp)
-    cols = np.array([occupation_indices(r) for r in space.states], dtype=np.intp)
-    pers = gathered_permanents(w, rows, cols)
+    pers = gathered_permanents(w, rows, indices)
     norm_in = math.sqrt(normalization_product(s))
-    norms_r = np.array([normalization_product(r) for r in space.states], dtype=float)
-    return pers / (norm_in * norms_r)
+    return pers / (norm_in * norms)
 
 
-def _second_leg_permanents(v, space: StateSpace, output_state) -> np.ndarray:
-    """per(V_{R,T}) for every intermediate R at a fixed output T."""
+def _second_leg_permanents(v, indices: np.ndarray, output_state) -> np.ndarray:
+    """per(V_{R,T}) for every intermediate R (rows of `indices`) at a fixed output T."""
     t = as_state(output_state)
     if photon_count(t) == 0:
-        return np.ones(len(space), dtype=complex)
+        return np.ones(len(indices), dtype=complex)
     cols = np.array(occupation_indices(t), dtype=np.intp)
-    rows = np.array([occupation_indices(r) for r in space.states], dtype=np.intp)
-    return gathered_permanents(v, rows, cols)
+    return gathered_permanents(v, indices, cols)
 
 
 def _diagonal_factors(gate, space: StateSpace) -> np.ndarray:
@@ -232,18 +231,18 @@ def nonlinear_amplitude(exp: NonlinearExperiment, output_state,
             f"output state {t} does not live in the {exp.n}-photon {exp.m}-mode space"
         )
     space = exp.space()
+    indices, norms = _index_arrays(space)
     if isinstance(exp.gate, MatrixGate):
-        gamma_w = _path_weights(exp.w, exp.input_state, space)  # includes 1/prod r!
-        norms = np.array([normalization_product(r) for r in space.states], dtype=float)
+        gamma_w = _path_weights(exp.w, exp.input_state, indices, norms)  # includes 1/prod r!
         # restore single-sided normalization: gamma^W_{S,R} = weight * sqrt(prod r!)
         gamma_w = gamma_w * np.sqrt(norms)
-        pers_v = _second_leg_permanents(exp.v, space, t)
+        pers_v = _second_leg_permanents(exp.v, indices, t)
         norm_t = math.sqrt(normalization_product(t))
         gamma_v = pers_v / (np.sqrt(norms) * norm_t)
         return complex(gamma_w @ exp.gate.matrix @ gamma_v)
-    weights = _path_weights(exp.w, exp.input_state, space)
+    weights = _path_weights(exp.w, exp.input_state, indices, norms)
     factors = _diagonal_factors(exp.gate, space)
-    pers_v = _second_leg_permanents(exp.v, space, t)
+    pers_v = _second_leg_permanents(exp.v, indices, t)
     norm_t = math.sqrt(normalization_product(t))
     return complex(np.sum(weights * factors * pers_v) / norm_t)
 
@@ -328,13 +327,9 @@ def photon_number_components(w, v, mode_x: int, input_state,
         raise DimensionError(f"gate mode {mode_x} out of range [1, {m}]")
     _guard_path_sum(m, n)
     space = enumerate_states(m, n)
-    occ = np.array(space.states, dtype=np.intp).reshape(len(space), m)
-    # each row of `occ` sums to n, so repeating mode labels by occupation
-    # yields one row of n column indices per output state
-    cols = np.repeat(np.tile(np.arange(m), len(space)), occ.ravel()).reshape(len(space), n)
+    cols, norms_out = _index_arrays(space)
     rows = np.array(occupation_indices(s), dtype=np.intp)
-    factorials = np.array([math.factorial(j) for j in range(n + 1)], dtype=float)
-    norms = math.sqrt(normalization_product(s)) * np.sqrt(factorials[occ].prod(axis=1))
+    norms = math.sqrt(normalization_product(s)) * np.sqrt(norms_out)
     passes = np.array([
         gathered_permanents(linearized_evolution(w_u, mode_x, theta, v_u), rows, cols)
         for theta in _fourier_phases(n)
@@ -403,12 +398,13 @@ def nonlinear_distribution(exp: NonlinearExperiment,
             dtype=complex,
         )
     else:
-        weights = _path_weights(exp.w, exp.input_state, space) * _diagonal_factors(
+        indices, norms = _index_arrays(space)
+        weights = _path_weights(exp.w, exp.input_state, indices, norms) * _diagonal_factors(
             exp.gate, space
         )
         amps = np.empty(len(space), dtype=complex)
         for j, t in enumerate(space.states):
-            pers_v = _second_leg_permanents(exp.v, space, t)
+            pers_v = _second_leg_permanents(exp.v, indices, t)
             amps[j] = np.sum(weights * pers_v) / math.sqrt(normalization_product(t))
     return _unit_sum_distribution(space, amps, exp.w, exp.v)
 

@@ -28,6 +28,7 @@ from .errors import (
 from .fock import (
     FockState,
     StateSpace,
+    _index_arrays,
     as_state,
     concat_states,
     enumerate_states,
@@ -226,10 +227,7 @@ def run_rejection_sampling(
 
 def _enlarged_output_probs(setup: SimulationSetup, space) -> np.ndarray:
     rows = np.array(occupation_indices(setup.enlarged_input), dtype=np.intp)
-    cols = np.array([occupation_indices(t) for t in space.states], dtype=np.intp)
+    cols, norms = _index_arrays(space)
     pers = gathered_permanents(setup.enlarged_unitary, rows, cols)
     norm_in = math.sqrt(normalization_product(setup.enlarged_input))
-    norms_out = np.sqrt(
-        np.array([normalization_product(t) for t in space.states], dtype=float)
-    )
-    return np.abs(pers / (norm_in * norms_out)) ** 2
+    return np.abs(pers / (norm_in * np.sqrt(norms))) ** 2

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from nlboson import (
@@ -14,7 +15,7 @@ from nlboson import (
     photon_count,
     space_size,
 )
-from nlboson.fock import occupation_indices
+from nlboson.fock import _index_arrays, occupation_indices
 
 from .oracles import count_occupations
 
@@ -116,3 +117,18 @@ def test_text_round_trip():
 def test_occupation_indices():
     assert occupation_indices((1, 0, 2)) == [0, 2, 2]
     assert occupation_indices((0, 0)) == []
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (3, 0), (1, 4), (4, 3), (5, 5), (2, 19), (2, 21), (3, 22)])
+def test_index_arrays_equal_the_per_state_helpers(m, n):
+    # bit-identical, including products above 2^53 (n >= 19) where a float
+    # product of factorials could round differently
+    space = enumerate_states(m, n)
+    indices, norms = _index_arrays(space)
+    assert indices.shape == (len(space), n)
+    assert indices.dtype == np.intp
+    assert np.array_equal(indices, np.array([occupation_indices(s) for s in space],
+                                            dtype=np.intp).reshape(len(space), n))
+    want = np.array([float(normalization_product(s)) for s in space])
+    assert norms.dtype == float
+    assert np.array_equal(norms, want)

@@ -14,9 +14,11 @@ from nlboson import (
     gadget_objective,
     gadget_residuals,
     gadget_to_json,
+    haar_unitary,
     heralded_factors,
     load_gadget,
     optimize_gadget,
+    permanent,
     permanent_naive,
     random_reck_params,
     reck_to_unitary,
@@ -27,6 +29,15 @@ from nlboson import (
     unitarity_deviation,
     verify_gadget,
 )
+from nlboson.gadget import (
+    _expanded_permanents,
+    _matrix_from_raw,
+    _penalized_objective,
+    _random_raw,
+    _residual_vector,
+)
+
+from .oracles import permanent_exact
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +85,96 @@ def test_heralded_factors_extend_apply_gadget(gadget_k2):
         assert factors[l] == pytest.approx(
             permanent_naive(expanded_gadget_matrix(u, l)) / math.factorial(l), abs=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# the all-l kernel and the routes built on it
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_expanded_permanents_match_the_oracles(k):
+    # the defining permutation sum up to 8 x 8; exact rational Ryser above,
+    # where the permutation sum is refused (10 x 10) or its own rounding
+    # approaches the tolerance
+    u = haar_unitary(k + 1, np.random.default_rng(60 + k))
+    pers = _expanded_permanents(u, k + 2)
+    assert pers.shape == (k + 3,)
+    for l in range(k + 3):
+        mat = expanded_gadget_matrix(u, l)
+        ref = permanent_naive(mat) if mat.shape[0] <= 8 else permanent_exact(mat)
+        assert abs(pers[l] - ref) <= 1e-12 * max(1.0, abs(ref)), (k, l)
+
+
+def _scalar_route(u, n):
+    # per(u^{l,1..1}) one scalar Ryser evaluation per l
+    return np.array([permanent(expanded_gadget_matrix(u, l)) for l in range(n + 1)])
+
+
+def _gadget_matrices():
+    rng = np.random.default_rng(61)
+    mats = [haar_unitary(k + 1, rng) for k in (1, 2, 3, 4) for _ in range(2)]
+    return mats + [reference_gadget(k).u_eff for k in (2, 3, 4)]
+
+
+def test_kernel_routes_match_the_scalar_permanent_route():
+    for u in _gadget_matrices():
+        k = u.shape[0] - 1
+        pers = _scalar_route(u, k + 2)
+        scale = max(1.0, float(np.abs(pers).max()))
+        phi = 0.37 * (k + 1)
+        targets = np.array([math.factorial(l) * pers[0] * np.exp(-1j * l * l * phi)
+                            for l in range(1, k + 1)])
+        assert np.abs(gadget_residuals(u, phi) - (pers[1:k + 1] - targets)).max() <= 1e-12 * scale
+        factors = pers / np.array([math.factorial(l) for l in range(k + 3)])
+        assert np.abs(heralded_factors(u, k + 2) - factors).max() <= 1e-12 * scale
+        assert success_probability(u) == pytest.approx(abs(pers[0]) ** 2, rel=1e-12)
+
+
+def test_penalized_objective_is_the_residual_vector_norm():
+    rng = np.random.default_rng(62)
+    for m, p_th in ((3, 0.99), (3, 1e-9), (4, 0.5)):
+        x = _random_raw(m, rng)
+        for lam in (10.0, 1e4):
+            parts = _residual_vector(x, m, 0.8, p_th, lam)
+            assert parts.shape == (2 * (m - 1) + 1,)
+            value = _penalized_objective(x, m, 0.8, p_th, lam)
+            assert value == pytest.approx(float(np.sum(parts**2)), rel=1e-15, abs=0.0)
+            # the objective plus the exterior penalty, as separately defined
+            u = _matrix_from_raw(x, m)
+            shortfall = max(0.0, p_th - success_probability(u))
+            res = gadget_residuals(u, 0.8)
+            assert value == pytest.approx(
+                float(np.sum(np.abs(res) ** 2)) + lam * shortfall**2, rel=1e-12
+            )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u: gadget_residuals(u, 0.5),
+        success_probability,
+        lambda u: heralded_factors(u, 2),
+        lambda u: apply_gadget(u, np.ones(u.shape[0])),
+        lambda u: expanded_gadget_matrix(u, 1),
+    ],
+)
+def test_public_entries_check_their_matrix(call):
+    with pytest.raises(DimensionError):
+        call(np.ones((2, 3), dtype=complex))
+    with pytest.raises(DimensionError):
+        call(np.ones((1, 1), dtype=complex))
+    bad = np.eye(3, dtype=complex)
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        call(bad)
+    bad[1, 2] = np.inf
+    with pytest.raises(ValueError):
+        call(bad)
+
+
+def test_heralded_factors_reject_a_negative_photon_number():
+    with pytest.raises(DimensionError):
+        heralded_factors(np.eye(3), -1)
 
 
 # ---------------------------------------------------------------------------

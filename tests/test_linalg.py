@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from nlboson import (
     DimensionError,
     ReckParams,
+    StateSpaceTooLargeError,
     direct_sum,
     gathered_permanents,
     haar_unitary,
@@ -14,6 +16,7 @@ from nlboson import (
     matrix_from_json,
     matrix_from_states,
     matrix_to_json,
+    output_distribution,
     permanent,
     permanent_naive,
     permanents,
@@ -22,8 +25,9 @@ from nlboson import (
     reck_to_unitary,
     unitarity_deviation,
 )
+from nlboson.linalg import MAX_PERMANENTS_BYTES, _mesh_unitary, _permanents_bytes
 
-from .oracles import operator_expansion_amplitude
+from .oracles import mesh_unitary_product, operator_expansion_amplitude
 
 
 def random_complex(rng, shape):
@@ -111,6 +115,29 @@ def test_batch_permanents_match_scalar_kernel():
         batch = permanents(mats)
         ref = np.array([permanent(mm) for mm in mats])
         assert np.abs(batch - ref).max() < 1e-10
+
+
+def test_batch_permanents_refuse_before_allocating():
+    # s = 25 would need (2^25 - 1) x 25 masks and row sums, about 20 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLargeError, match="MiB"):
+            permanents(np.zeros((1, 25, 25), dtype=complex))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_batch_permanents_guard_boundary():
+    # the prediction alone, so nothing near the cap is allocated: one 20 x 20
+    # chunk fits, one 21 x 21 chunk does not
+    assert _permanents_bytes(1, 20) <= MAX_PERMANENTS_BYTES < _permanents_bytes(1, 21)
+
+
+def test_distribution_of_many_photons_hits_the_permanent_guard():
+    with pytest.raises(StateSpaceTooLargeError):
+        output_distribution(haar_unitary(2, np.random.default_rng(71)), (25, 0))
 
 
 def test_gathered_permanents():
@@ -216,6 +243,17 @@ def test_mesh_random_params_unitary():
         for _ in range(5):
             u = reck_to_unitary(random_reck_params(m, rng))
             assert unitarity_deviation(u) < 1e-12
+
+
+def test_mesh_matches_the_literal_element_product():
+    rng = np.random.default_rng(72)
+    for m in range(1, 7):
+        for _ in range(3):
+            p = random_reck_params(m, rng)
+            got = _mesh_unitary(m, p.thetas, p.phis, p.output_phases)
+            want = mesh_unitary_product(m, p.thetas, p.phis, p.output_phases)
+            assert got.shape == (m, m)
+            assert np.abs(got - want).max() <= 1e-15
 
 
 def test_mesh_parameter_count_validation():
