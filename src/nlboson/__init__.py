@@ -94,8 +94,6 @@ from .linear import (
     write_distribution_csv,
 )
 from .nonlinear import (
-    DiagonalGate,
-    MatrixGate,
     NonlinearExperiment,
     SingleModePhase,
     linearized_evolution,

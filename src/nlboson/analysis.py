@@ -17,11 +17,10 @@ from .errors import DimensionError
 from .fock import as_state
 from .gadget import DEFAULT_SUCCESS_THRESHOLDS, GadgetSpec, optimize_gadget
 from .linalg import haar_unitary
-from .linear import Distribution, output_distribution
+from .linear import Distribution, _unit_sum_distribution, output_distribution
 from .nonlinear import (
     NonlinearExperiment,
     SingleModePhase,
-    _unit_sum_distribution,
     nonlinear_distribution,
     photon_number_components,
 )

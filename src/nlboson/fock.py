@@ -17,8 +17,8 @@ from .errors import DimensionError, StateSpaceTooLargeError
 
 FockState = tuple[int, ...]
 
-# Hard cap on materialized spaces; sampling and simulation paths apply the
-# tighter 10**6 guard themselves.
+# Hard cap on materialized spaces; sampling, non-linear and simulation paths
+# apply the tighter 10**6 guard of nlboson.linear._guard_space.
 MAX_SPACE_SIZE = 5_000_000
 
 

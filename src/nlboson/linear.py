@@ -90,20 +90,47 @@ def amplitude(U, input_state, output_state, *, unitarity_tol: float = 1e-8) -> c
     return permanent(sub) / norm
 
 
-def _amplitudes_to_all(U, input_state, space: StateSpace) -> np.ndarray:
-    """Amplitudes from one input to every state of `space`, batched.
+def _guard_space(m: int, n: int, what: str) -> None:
+    """Refuse to materialize more than SAMPLING_SPACE_GUARD states for `what`."""
+    size = space_size(m, n)
+    if size > SAMPLING_SPACE_GUARD:
+        raise StateSpaceTooLargeError(
+            f"{what}: n={n} photons in m={m} modes span {size} states "
+            f"(guard {SAMPLING_SPACE_GUARD}); reduce m or n"
+        )
 
-    No unitarity re-check; callers validate once.
+
+def _amplitudes_to_all(U, input_state, cols: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Amplitudes from one input to every state of a space, batched.
+
+    `cols` and `norms` are the space's arrays from
+    :func:`~nlboson.fock._index_arrays`, so a caller making several passes
+    over one space builds them once.  No unitarity re-check; callers
+    validate once.
     """
-    u = np.asarray(U, dtype=complex)
     s = as_state(input_state)
     if photon_count(s) == 0:
-        return np.ones(len(space), dtype=complex)
+        return np.ones(len(norms), dtype=complex)
     rows = np.array(occupation_indices(s), dtype=np.intp)
-    cols, norms = _index_arrays(space)
-    pers = gathered_permanents(u, rows, cols)
+    pers = gathered_permanents(U, rows, cols)
     norm_in = math.sqrt(normalization_product(s))
     return pers / (norm_in * np.sqrt(norms))
+
+
+def _unit_sum_distribution(space: StateSpace, amps, *unitaries) -> Distribution:
+    """|amps|^2 over `space`, gated on summing to one as a unitary evolution must.
+
+    The tolerance scales with the worst unitarity deviation of `unitaries`.
+    """
+    probs = np.abs(amps) ** 2
+    total = probs.sum()
+    dev = max(unitarity_deviation(u) for u in unitaries)
+    tol = max(1e-9, 20 * space.m * dev)
+    if abs(total - 1.0) > tol:
+        raise ValueError(
+            f"output distribution sums to {total!r}, expected 1 within {tol:.1e}"
+        )
+    return Distribution(space, probs)
 
 
 def output_distribution(U, input_state, *, unitarity_tol: float = 1e-8) -> Distribution:
@@ -113,15 +140,7 @@ def output_distribution(U, input_state, *, unitarity_tol: float = 1e-8) -> Distr
     if len(s) != u.shape[0]:
         raise DimensionError(f"state has {len(s)} modes, matrix has {u.shape[0]}")
     space = enumerate_states(len(s), photon_count(s))
-    amps = _amplitudes_to_all(u, s, space)
-    probs = np.abs(amps) ** 2
-    total = probs.sum()
-    tol = max(1e-9, 20 * u.shape[0] * unitarity_deviation(u))
-    if abs(total - 1.0) > tol:
-        raise ValueError(
-            f"output distribution sums to {total!r}, expected 1 within {tol:.1e}"
-        )
-    return Distribution(space, probs)
+    return _unit_sum_distribution(space, _amplitudes_to_all(u, s, *_index_arrays(space)), u)
 
 
 def _inverse_sample(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -136,12 +155,7 @@ def sample_exact(U, input_state, count: int, rng: np.random.Generator,
                  *, unitarity_tol: float = 1e-8) -> list[FockState]:
     """i.i.d. draws from the exact output distribution (inversion sampling)."""
     s = as_state(input_state)
-    size = space_size(len(s), photon_count(s))
-    if size > SAMPLING_SPACE_GUARD:
-        raise StateSpaceTooLargeError(
-            f"cannot materialize {size} output states for sampling "
-            f"(guard {SAMPLING_SPACE_GUARD}); reduce m or n"
-        )
+    _guard_space(len(s), photon_count(s), "sample_exact")
     dist = output_distribution(U, s, unitarity_tol=unitarity_tol)
     idx = _inverse_sample(dist.probs, int(count), rng)
     return [dist.space.states[i] for i in idx]

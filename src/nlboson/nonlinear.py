@@ -1,9 +1,9 @@
 """Three-step evolutions with a photon-number-diagonal middle layer.
 
 The sandwich is: linear network W, then a non-linear layer, then linear
-network V.  The workhorse non-linearity is the single-mode phase gate
-exp(-i * n_x^2 * phi), which multiplies each intermediate Fock state by
-exp(-i * r_x^2 * phi).
+network V.  The one gate class is the single-mode phase gate
+exp(-i * n_x^2 * phi) (:class:`SingleModePhase`), which multiplies each
+intermediate Fock state by exp(-i * r_x^2 * phi).
 
 Any layer that multiplies an intermediate state by a factor g_j depending
 only on the photon number j at one site x is fixed by n+1 photon-number
@@ -15,26 +15,25 @@ evaluates L at the n+1 roots of unity -- n+1 linear passes through
 W F_theta V -- and inverts that discrete Fourier transform.  The ideal gate
 has g_j = exp(-i j^2 phi), a heralded gadget g_j = per(U^{j,1..1}) / j!
 (:func:`nlboson.gadget.heralded_factors`, used by :mod:`nlboson.simulate`),
-the linearized benchmark g_j = exp(-i j phi).
+the linearized benchmark g_j = exp(-i j phi); any other single-mode
+diagonal layer is likewise ``g @ A``.
 
 Three routes to one amplitude are kept for cross-validation: the Feynman
-path sum over the intermediate basis (:func:`nonlinear_amplitude`, also the
-route for general diagonal and matrix gates), the Fourier form
-(:func:`phase_gate_amplitude`), and the split form, which separates the
-linearizable part (the same circuit with a plain phase shifter in place of
-the gate) from bunching corrections with more than one photon at the gate
-site (:func:`phase_gate_amplitude_split`).
+path sum over the intermediate basis (:func:`nonlinear_amplitude`, two
+batched linear passes), the Fourier form (:func:`phase_gate_amplitude`),
+and the split form, which separates the linearizable part (the same circuit
+with a plain phase shifter in place of the gate) from bunching corrections
+with more than one photon at the gate site (:func:`phase_gate_amplitude_split`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DimensionError, StateSpaceTooLargeError
+from .errors import DimensionError
 from .fock import (
     FockState,
     StateSpace,
@@ -42,24 +41,13 @@ from .fock import (
     as_state,
     enumerate_states,
     normalization_product,
-    occupation_indices,
     photon_count,
-    space_size,
 )
-from .linalg import (
-    gathered_permanents,
-    matrix_from_states,
-    permanent,
-    phase_shifter,
-    require_unitary,
-    unitarity_deviation,
-)
-from .linear import SAMPLING_SPACE_GUARD, Distribution
+from .linalg import matrix_from_states, permanent, phase_shifter, require_unitary
+from .linear import Distribution, _amplitudes_to_all, _guard_space, _unit_sum_distribution
 
 __all__ = [
     "SingleModePhase",
-    "DiagonalGate",
-    "MatrixGate",
     "NonlinearExperiment",
     "photon_number_components",
     "nonlinear_amplitude",
@@ -69,17 +57,6 @@ __all__ = [
     "nonlinear_distribution",
 ]
 
-_MATRIX_GATE_GUARD = 400  # literal double sums only for tiny spaces
-
-
-def _guard_path_sum(m: int, n: int) -> None:
-    size = space_size(m, n)
-    if size > SAMPLING_SPACE_GUARD:
-        raise StateSpaceTooLargeError(
-            f"n={n} photons in m={m} modes span {size} intermediate states "
-            f"(guard {SAMPLING_SPACE_GUARD})"
-        )
-
 
 @dataclass(frozen=True)
 class SingleModePhase:
@@ -87,9 +64,6 @@ class SingleModePhase:
 
     mode: int
     phi: float
-
-    def factor(self, state: FockState) -> complex:
-        return self._number_factor(state[self.mode - 1])
 
     def number_factors(self, n: int) -> np.ndarray:
         """Factors g_j = exp(-i j^2 phi) for j = 0..n photons at the gate site."""
@@ -100,63 +74,20 @@ class SingleModePhase:
         return complex(math.cos(a), math.sin(a))
 
 
-@dataclass(frozen=True)
-class DiagonalGate:
-    """Photon-number-diagonal gate given by a unit-modulus factor per state."""
-
-    factor_fn: Callable[[FockState], complex] | Mapping[FockState, complex]
-
-    def factor(self, state: FockState) -> complex:
-        if callable(self.factor_fn):
-            v = complex(self.factor_fn(state))
-        else:
-            v = complex(self.factor_fn[state])
-        if abs(abs(v) - 1.0) > 1e-10:
-            raise ValueError(
-                f"diagonal gate factor for {state} has modulus {abs(v)!r}, expected 1"
-            )
-        return v
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixGate:
-    """Arbitrary photon-number-preserving gate as a matrix over one StateSpace.
-
-    matrix[i, j] is the transition amplitude from space.states[i] to
-    space.states[j].  Only sensible for tiny spaces: the amplitude evaluation
-    is a literal double path sum.
-    """
-
-    space: StateSpace
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        size = len(self.space)
-        if mat.shape != (size, size):
-            raise DimensionError(
-                f"gate matrix shape {mat.shape} does not match space size {size}"
-            )
-        if size > _MATRIX_GATE_GUARD:
-            raise DimensionError(
-                f"matrix gates are guarded to spaces of <= {_MATRIX_GATE_GUARD} states"
-            )
-        dev = float(np.abs(mat.conj().T @ mat - np.eye(size)).max())
-        if dev > 1e-8:
-            raise ValueError(f"gate matrix is not unitary on the Fock basis ({dev:.2e})")
-        object.__setattr__(self, "matrix", mat)
-
-
 @dataclass(frozen=True, eq=False)
 class NonlinearExperiment:
     """Input state plus the W -> gate -> V sandwich."""
 
     w: np.ndarray
     v: np.ndarray
-    gate: SingleModePhase | DiagonalGate | MatrixGate
+    gate: SingleModePhase
     input_state: FockState
 
     def __post_init__(self):
+        if not isinstance(self.gate, SingleModePhase):
+            raise TypeError(
+                f"gate must be a SingleModePhase, got {type(self.gate).__name__}"
+            )
         w = np.asarray(self.w, dtype=complex)
         v = np.asarray(self.v, dtype=complex)
         s = as_state(self.input_state)
@@ -164,12 +95,8 @@ class NonlinearExperiment:
             raise DimensionError(f"W and V must be equal square matrices, got {w.shape}, {v.shape}")
         if len(s) != w.shape[0]:
             raise DimensionError(f"input has {len(s)} modes, networks have {w.shape[0]}")
-        if isinstance(self.gate, SingleModePhase) and not 1 <= self.gate.mode <= len(s):
+        if not 1 <= self.gate.mode <= len(s):
             raise DimensionError(f"gate mode {self.gate.mode} out of range [1, {len(s)}]")
-        if isinstance(self.gate, MatrixGate) and (
-            self.gate.space.m != len(s) or self.gate.space.n != photon_count(s)
-        ):
-            raise DimensionError("matrix gate space does not match the experiment")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "input_state", s)
@@ -183,45 +110,18 @@ class NonlinearExperiment:
         return photon_count(self.input_state)
 
     def space(self) -> StateSpace:
-        _guard_path_sum(self.m, self.n)
+        _guard_space(self.m, self.n, "intermediate space")
         return enumerate_states(self.m, self.n)
-
-
-def _path_weights(w, input_state, indices: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """per(W_{S,R}) / (sqrt(prod s!) * prod r!) for every intermediate R.
-
-    `indices` and `norms` are the intermediate space's arrays from
-    :func:`~nlboson.fock._index_arrays`.  These weights do not depend on the
-    output state, so one evaluation is shared across the whole distribution.
-    """
-    s = as_state(input_state)
-    if photon_count(s) == 0:
-        return np.ones(len(norms), dtype=complex)
-    rows = np.array(occupation_indices(s), dtype=np.intp)
-    pers = gathered_permanents(w, rows, indices)
-    norm_in = math.sqrt(normalization_product(s))
-    return pers / (norm_in * norms)
-
-
-def _second_leg_permanents(v, indices: np.ndarray, output_state) -> np.ndarray:
-    """per(V_{R,T}) for every intermediate R (rows of `indices`) at a fixed output T."""
-    t = as_state(output_state)
-    if photon_count(t) == 0:
-        return np.ones(len(indices), dtype=complex)
-    cols = np.array(occupation_indices(t), dtype=np.intp)
-    return gathered_permanents(v, indices, cols)
-
-
-def _diagonal_factors(gate, space: StateSpace) -> np.ndarray:
-    return np.array([gate.factor(r) for r in space.states], dtype=complex)
 
 
 def nonlinear_amplitude(exp: NonlinearExperiment, output_state,
                         *, unitarity_tol: float = 1e-8) -> complex:
     """Path-sum transition amplitude of the three-step evolution.
 
-    Diagonal gates collapse the double sum over intermediate states to a
-    single one; matrix gates are evaluated by the literal double sum.
+    sum_R <R|W|S> g(r_x) <T|V|R> over the intermediate basis, with
+    g(r) = exp(-i r^2 phi).  The V leg is taken as amplitudes of V^T from T,
+    since per(V_{R,T}) = per(V^T_{T,R}), so both legs are one batched pass
+    each over the intermediate space.
     """
     require_unitary(exp.w, unitarity_tol, "nonlinear_amplitude: W")
     require_unitary(exp.v, unitarity_tol, "nonlinear_amplitude: V")
@@ -230,21 +130,12 @@ def nonlinear_amplitude(exp: NonlinearExperiment, output_state,
         raise DimensionError(
             f"output state {t} does not live in the {exp.n}-photon {exp.m}-mode space"
         )
-    space = exp.space()
-    indices, norms = _index_arrays(space)
-    if isinstance(exp.gate, MatrixGate):
-        gamma_w = _path_weights(exp.w, exp.input_state, indices, norms)  # includes 1/prod r!
-        # restore single-sided normalization: gamma^W_{S,R} = weight * sqrt(prod r!)
-        gamma_w = gamma_w * np.sqrt(norms)
-        pers_v = _second_leg_permanents(exp.v, indices, t)
-        norm_t = math.sqrt(normalization_product(t))
-        gamma_v = pers_v / (np.sqrt(norms) * norm_t)
-        return complex(gamma_w @ exp.gate.matrix @ gamma_v)
-    weights = _path_weights(exp.w, exp.input_state, indices, norms)
-    factors = _diagonal_factors(exp.gate, space)
-    pers_v = _second_leg_permanents(exp.v, indices, t)
-    norm_t = math.sqrt(normalization_product(t))
-    return complex(np.sum(weights * factors * pers_v) / norm_t)
+    indices, norms = _index_arrays(exp.space())
+    first = _amplitudes_to_all(exp.w, exp.input_state, indices, norms)
+    second = _amplitudes_to_all(exp.v.T, t, indices, norms)
+    photons_at_x = (indices == exp.gate.mode - 1).sum(axis=1)
+    factors = exp.gate.number_factors(exp.n)[photons_at_x]
+    return complex(np.sum(first * factors * second))
 
 
 def phase_gate_amplitude(w, mode_x: int, phi: float, v, input_state, output_state,
@@ -325,16 +216,14 @@ def photon_number_components(w, v, mode_x: int, input_state,
         )
     if not 1 <= mode_x <= m:
         raise DimensionError(f"gate mode {mode_x} out of range [1, {m}]")
-    _guard_path_sum(m, n)
+    _guard_space(m, n, "photon_number_components")
     space = enumerate_states(m, n)
-    cols, norms_out = _index_arrays(space)
-    rows = np.array(occupation_indices(s), dtype=np.intp)
-    norms = math.sqrt(normalization_product(s)) * np.sqrt(norms_out)
+    cols, norms = _index_arrays(space)
     passes = np.array([
-        gathered_permanents(linearized_evolution(w_u, mode_x, theta, v_u), rows, cols)
+        _amplitudes_to_all(linearized_evolution(w_u, mode_x, theta, v_u), s, cols, norms)
         for theta in _fourier_phases(n)
     ])
-    return space, _inverse_dft(passes / norms)
+    return space, _inverse_dft(passes)
 
 
 def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state, output_state,
@@ -355,7 +244,7 @@ def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state, outpu
     ubar = linearized_evolution(w_u, mode_x, phi, v_u)
     norm_st = math.sqrt(normalization_product(s) * normalization_product(t))
     total = permanent(matrix_from_states(ubar, s, t)) / norm_st
-    _guard_path_sum(len(s), n)
+    _guard_space(len(s), n, "phase_gate_amplitude_split")
     space = enumerate_states(len(s), n)
     norm_s = math.sqrt(normalization_product(s))
     norm_t = math.sqrt(normalization_product(t))
@@ -378,45 +267,12 @@ def nonlinear_distribution(exp: NonlinearExperiment,
                            *, unitarity_tol: float = 1e-8) -> Distribution:
     """Full output distribution of the three-step evolution.
 
-    The single-mode phase gate takes the photon-number components
-    (n+1 linear passes); general diagonal and matrix gates take the path sum.
+    The gate's factors on the photon-number components (n+1 linear passes).
     The number-preserving gate keeps the evolution unitary, so the
     probabilities sum to one.
     """
-    if isinstance(exp.gate, SingleModePhase):
-        space, components = photon_number_components(
-            exp.w, exp.v, exp.gate.mode, exp.input_state, unitarity_tol=unitarity_tol
-        )
-        return _unit_sum_distribution(space, exp.gate.number_factors(exp.n) @ components,
-                                      exp.w, exp.v)
-    require_unitary(exp.w, unitarity_tol, "nonlinear_distribution: W")
-    require_unitary(exp.v, unitarity_tol, "nonlinear_distribution: V")
-    space = exp.space()
-    if isinstance(exp.gate, MatrixGate):
-        amps = np.array(
-            [nonlinear_amplitude(exp, t, unitarity_tol=unitarity_tol) for t in space],
-            dtype=complex,
-        )
-    else:
-        indices, norms = _index_arrays(space)
-        weights = _path_weights(exp.w, exp.input_state, indices, norms) * _diagonal_factors(
-            exp.gate, space
-        )
-        amps = np.empty(len(space), dtype=complex)
-        for j, t in enumerate(space.states):
-            pers_v = _second_leg_permanents(exp.v, indices, t)
-            amps[j] = np.sum(weights * pers_v) / math.sqrt(normalization_product(t))
-    return _unit_sum_distribution(space, amps, exp.w, exp.v)
-
-
-def _unit_sum_distribution(space: StateSpace, amps, w, v) -> Distribution:
-    """|amps|^2 over `space`, gated on summing to one as a unitary layer must."""
-    probs = np.abs(amps) ** 2
-    total = probs.sum()
-    dev = max(unitarity_deviation(w), unitarity_deviation(v))
-    tol = max(1e-9, 20 * space.m * dev)
-    if abs(total - 1.0) > tol:
-        raise ValueError(
-            f"non-linear distribution sums to {total!r}, expected 1 within {tol:.1e}"
-        )
-    return Distribution(space, probs)
+    space, components = photon_number_components(
+        exp.w, exp.v, exp.gate.mode, exp.input_state, unitarity_tol=unitarity_tol
+    )
+    return _unit_sum_distribution(space, exp.gate.number_factors(exp.n) @ components,
+                                  exp.w, exp.v)

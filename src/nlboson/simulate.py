@@ -14,17 +14,11 @@ diagonal layer on the photon-number components of :mod:`nlboson.nonlinear`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    PostselectionError,
-    SamplingBudgetError,
-    StateSpaceTooLargeError,
-)
+from .errors import DimensionError, PostselectionError, SamplingBudgetError
 from .fock import (
     FockState,
     StateSpace,
@@ -32,14 +26,11 @@ from .fock import (
     as_state,
     concat_states,
     enumerate_states,
-    normalization_product,
-    occupation_indices,
     photon_count,
-    space_size,
 )
 from .gadget import GadgetSpec, heralded_factors
-from .linalg import direct_sum, gathered_permanents, unitarity_deviation
-from .linear import SAMPLING_SPACE_GUARD, Distribution, _inverse_sample
+from .linalg import direct_sum, unitarity_deviation
+from .linear import Distribution, _amplitudes_to_all, _guard_space, _inverse_sample
 from .nonlinear import photon_number_components
 
 __all__ = [
@@ -186,12 +177,7 @@ def run_rejection_sampling(
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    enlarged_size = space_size(m + k, n + k)
-    if enlarged_size > SAMPLING_SPACE_GUARD:
-        raise StateSpaceTooLargeError(
-            f"enlarged space for m+k={m + k}, n+k={n + k} has {enlarged_size} states "
-            f"(guard {SAMPLING_SPACE_GUARD})"
-        )
+    _guard_space(m + k, n + k, "enlarged space")
     if trial_budget is None:
         trial_budget = max(1_000_000, 100 * n_samples)
     space = enumerate_states(m + k, n + k)
@@ -226,8 +212,6 @@ def run_rejection_sampling(
 
 
 def _enlarged_output_probs(setup: SimulationSetup, space) -> np.ndarray:
-    rows = np.array(occupation_indices(setup.enlarged_input), dtype=np.intp)
-    cols, norms = _index_arrays(space)
-    pers = gathered_permanents(setup.enlarged_unitary, rows, cols)
-    norm_in = math.sqrt(normalization_product(setup.enlarged_input))
-    return np.abs(pers / (norm_in * np.sqrt(norms))) ** 2
+    amps = _amplitudes_to_all(setup.enlarged_unitary, setup.enlarged_input,
+                              *_index_arrays(space))
+    return np.abs(amps) ** 2

@@ -148,7 +148,7 @@ def test_sampling_tvd_decreases_with_sample_size():
 
 def test_sampling_space_guard():
     u = np.eye(50, dtype=complex)
-    with pytest.raises(StateSpaceTooLargeError):
+    with pytest.raises(StateSpaceTooLargeError, match=r"sample_exact: n=5 photons in m=50 modes"):
         sample_exact(u, (1,) * 5 + (0,) * 45, 10, np.random.default_rng(8))
 
 

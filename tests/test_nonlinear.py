@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from nlboson import (
-    DiagonalGate,
     DimensionError,
-    MatrixGate,
     NonlinearExperiment,
     SingleModePhase,
     amplitude,
@@ -74,9 +72,17 @@ def test_amplitude_matches_operator_path_sum_oracle():
         a = -(r[x - 1] ** 2) * phi
         return complex(math.cos(a), math.sin(a))
 
+    exp = NonlinearExperiment(w, v, SingleModePhase(x, phi), s)
     for t in [(3, 0, 0), (1, 1, 1), (0, 2, 1)]:
-        got = phase_gate_amplitude(w, x, phi, v, s, t)
-        assert got == pytest.approx(three_step_amplitude(w, gate_factor, v, s, t), abs=1e-11)
+        want = three_step_amplitude(w, gate_factor, v, s, t)
+        assert phase_gate_amplitude(w, x, phi, v, s, t) == pytest.approx(want, abs=1e-11)
+        assert nonlinear_amplitude(exp, t) == pytest.approx(want, abs=1e-11)
+    # the vacuum passes through with amplitude one on every route
+    vacuum = (0, 0, 0)
+    exp = NonlinearExperiment(w, v, SingleModePhase(x, phi), vacuum)
+    assert three_step_amplitude(w, gate_factor, v, vacuum, vacuum) == pytest.approx(1.0, abs=1e-15)
+    assert nonlinear_amplitude(exp, vacuum) == pytest.approx(1.0, abs=1e-15)
+    assert phase_gate_amplitude(w, x, phi, v, vacuum, vacuum) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_single_photon_gate_is_linear():
@@ -252,61 +258,16 @@ def test_tvd_is_continuous_in_phase():
 
 
 # ---------------------------------------------------------------------------
-# other gate kinds
+# experiment validation
 # ---------------------------------------------------------------------------
-
-def test_diagonal_gate_matches_single_mode_phase():
-    w, v = haar_pair(3, 46)
-    s = (1, 1, 0)
-    phi = 0.9
-
-    def factor(state):
-        a = -(state[1] ** 2) * phi
-        return complex(math.cos(a), math.sin(a))
-
-    via_diag = nonlinear_distribution(NonlinearExperiment(w, v, DiagonalGate(factor), s))
-    via_phase = nonlinear_distribution(NonlinearExperiment(w, v, SingleModePhase(2, phi), s))
-    assert tvd(via_diag, via_phase) < 1e-12
-
-
-def test_diagonal_gate_rejects_non_unit_modulus():
-    gate = DiagonalGate(lambda state: 0.5 + 0j)
-    with pytest.raises(ValueError):
-        gate.factor((1, 0))
-
-
-def test_matrix_gate_double_sum_matches_diagonal_collapse():
-    w, v = haar_pair(2, 47)
-    s = (1, 1)
-    phi = 0.6
-    space = enumerate_states(2, 2)
-    diag = np.diag(
-        [np.exp(-1j * (r[0] ** 2) * phi) for r in space.states]
-    )
-    gate = MatrixGate(space, diag)
-    via_matrix = [nonlinear_amplitude(NonlinearExperiment(w, v, gate, s), t) for t in space]
-    for got, t in zip(via_matrix, space):
-        want = phase_gate_amplitude(w, 1, phi, v, s, t)
-        assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_matrix_gate_with_generic_fock_unitary():
-    # any unitary on the fixed-photon-number space is a legal gate; the
-    # three-step evolution stays normalized
-    w, v = haar_pair(2, 48)
-    space = enumerate_states(2, 2)
-    gate = MatrixGate(space, haar_unitary(len(space), np.random.default_rng(49)))
-    exp = NonlinearExperiment(w, v, gate, (2, 0))
-    dist = nonlinear_distribution(exp)
-    assert abs(dist.total() - 1.0) < 1e-9
-
-
-def test_matrix_gate_rejects_non_unitary():
-    space = enumerate_states(2, 2)
-    with pytest.raises(ValueError):
-        MatrixGate(space, np.ones((3, 3)))
-
 
 def test_gate_mode_out_of_range():
     with pytest.raises(DimensionError):
         NonlinearExperiment(np.eye(2), np.eye(2), SingleModePhase(3, 0.1), (1, 1))
+
+
+def test_experiment_rejects_other_gate_kinds():
+    # the single-mode phase gate is the only gate; other diagonal layers are
+    # factor vectors on photon_number_components
+    with pytest.raises(TypeError):
+        NonlinearExperiment(np.eye(2), np.eye(2), np.diag([1, -1, 1]), (1, 1))

@@ -137,7 +137,7 @@ def test_matching_ancilla_count_is_exact(gadget_k2, gadget_k3):
 def test_postselection_guard():
     big = np.eye(300, dtype=complex)
     setup_like = transparent_gadget(1)
-    with pytest.raises(StateSpaceTooLargeError):
+    with pytest.raises(StateSpaceTooLargeError, match=r"n=5 photons in m=300 modes"):
         postselected_distribution(
             build_setup(big, big, 1, (1,) * 5 + (0,) * 295, setup_like)
         )
@@ -197,7 +197,7 @@ def test_rejection_sampling_enlarged_space_guard():
     # the kept space is fine ...
     postselected_distribution(setup)
     # ... but materializing the full enlarged space is refused
-    with pytest.raises(StateSpaceTooLargeError):
+    with pytest.raises(StateSpaceTooLargeError, match=r"enlarged space: n=4 photons in m=82"):
         run_rejection_sampling(setup, 10, np.random.default_rng(73))
 
 
