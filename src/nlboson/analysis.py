@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .fock import as_state
-from .gadget import DEFAULT_SUCCESS_THRESHOLDS, GadgetSpec, optimize_gadget
+from .gadget import DEFAULT_SUCCESS_THRESHOLDS, MAX_ANCILLAS, GadgetSpec, optimize_gadget
 from .linalg import haar_unitary
 from .linear import Distribution, _unit_sum_distribution, output_distribution
 from .nonlinear import (
@@ -56,12 +56,12 @@ def tvd(p: Distribution, q: Distribution) -> float:
 
 
 def _site_bunching_mass(dist: Distribution, mode_x: int, threshold: int) -> float:
-    mask = np.array([s[mode_x - 1] > threshold for s in dist.space.states], dtype=bool)
+    mask = dist.space.occupations[:, mode_x - 1] > threshold
     return float(dist.probs[mask].sum())
 
 
 def _global_bunching_mass(dist: Distribution, threshold: int) -> float:
-    mask = np.array([max(s) > threshold for s in dist.space.states], dtype=bool)
+    mask = dist.space.occupations.max(axis=1) > threshold
     return float(dist.probs[mask].sum())
 
 
@@ -131,6 +131,8 @@ def truncated_mass_study(n: int, m: int, n_max: int, n_unit: int,
     """
     if n > m:
         raise DimensionError(f"need m >= n to inject single photons, got n={n}, m={m}")
+    if n_unit < 1:
+        raise ValueError(f"need at least one unitary, got n_unit={n_unit}")
     s = as_state((1,) * n + (0,) * (m - n))
     samples = np.empty(int(n_unit))
     for i in range(int(n_unit)):
@@ -202,8 +204,14 @@ def synthesize_gadgets(ks: Sequence[int], phi: float, seed: int, *,
                        p_th: Mapping[int, float] | None = None,
                        starts: int = 60, budget: int = 2000) -> dict[int, GadgetSpec]:
     """One gadget per ancilla count, each from its own derived random stream."""
+    ks = sorted(set(int(k) for k in ks))
+    bad = [k for k in ks if not 1 <= k <= MAX_ANCILLAS]
+    if bad:
+        raise DimensionError(
+            f"gadget synthesis supports ancilla counts 1..{MAX_ANCILLAS}, got k={bad[0]}"
+        )
     out: dict[int, GadgetSpec] = {}
-    for k in sorted(set(int(k) for k in ks)):
+    for k in ks:
         threshold = (p_th or {}).get(k, DEFAULT_SUCCESS_THRESHOLDS[k])
         rng = np.random.default_rng([seed, 1_000_003, k])
         out[k] = optimize_gadget(k, phi, threshold, starts=starts, rng=rng, budget=budget)
@@ -279,6 +287,9 @@ def tvd_bunching_experiment(
             f"need m >= n to inject single photons, got n={n}, m={too_few[0]}"
         )
     k_list = [int(k) for k in k_list]
+    too_low = [k for k in k_list if k < 1]
+    if too_low:
+        raise DimensionError(f"ancilla counts must be >= 1, got k={too_low[0]}")
     needed = set(k_list) | ({n} if reference == "gadget" else set())
     if gadgets is None:
         gadgets = synthesize_gadgets(sorted(needed), phi, seed, starts=starts)

@@ -212,9 +212,7 @@ def _cmd_simulate(args) -> int:
     samples, stats = run_rejection_sampling(setup, args.samples, rng)
 
     exact = nonlinear_distribution(NonlinearExperiment(w, v, SingleModePhase(mode_x, phi), s))
-    counts = np.zeros(len(exact.space))
-    for state in samples:
-        counts[exact.space.rank(state)] += 1
+    counts = np.bincount(exact.space.ranks(samples), minlength=len(exact.space))
     empirical = Distribution(exact.space, counts / counts.sum())
 
     out = Path(args.out)
@@ -266,6 +264,8 @@ def _cmd_experiment_tvd_bunching(args) -> int:
 
 def _cmd_analyze_cumulative(args) -> int:
     thresholds = [float(x) for x in args.thresholds.split(",")]
+    if args.units < 1:
+        raise ValueError(f"--units must be at least 1, got {args.units}")
     s = (1,) * args.n + (0,) * (args.m - args.n)
     rows = []
     for unit in range(args.units):

@@ -182,33 +182,31 @@ def run_rejection_sampling(
         trial_budget = max(1_000_000, 100 * n_samples)
     space = enumerate_states(m + k, n + k)
     probs = _enlarged_output_probs(setup, space)
-    anc_pattern = (1,) * k
-    accept_mask = np.array([st[m:] == anc_pattern for st in space.states], dtype=bool)
+    accept_mask = (space.occupations[:, m:] == 1).all(axis=1)
 
     chunk = 4096
-    accepted: list[FockState] = []
-    counts: list[int] = []
+    drawn: list[np.ndarray] = []  # enlarged-space ranks of the accepted draws
+    hits: list[np.ndarray] = []  # their 1-based positions in the raw stream
+    accepted = 0
     trials = 0
-    since_last = 0
-    while len(accepted) < n_samples and trials < trial_budget:
+    while accepted < n_samples and trials < trial_budget:
         idx = _inverse_sample(probs, chunk, rng)
-        for i in idx:
-            trials += 1
-            since_last += 1
-            if accept_mask[i]:
-                accepted.append(space.states[i][:m])
-                counts.append(since_last)
-                since_last = 0
-                if len(accepted) == n_samples:
-                    break
-            if trials >= trial_budget:
-                break
-    if len(accepted) < n_samples:
-        raise SamplingBudgetError(len(accepted), trials, n_samples)
+        take = int(min(chunk, trial_budget - trials))
+        pos = np.flatnonzero(accept_mask[idx[:take]])[:n_samples - accepted]
+        accepted += len(pos)
+        if accepted == n_samples:
+            take = int(pos[-1]) + 1  # the stream stops at the last sample
+        drawn.append(idx[pos])
+        hits.append(trials + 1 + pos)
+        trials += take
+    if accepted < n_samples:
+        raise SamplingBudgetError(accepted, trials, n_samples)
+    samples = list(map(tuple, space.occupations[np.concatenate(drawn), :m].tolist()))
     stats = AcceptanceStats(
-        accepted=len(accepted), trials=trials, trial_counts=np.array(counts, dtype=int)
+        accepted=accepted, trials=trials,
+        trial_counts=np.diff(np.concatenate(hits), prepend=0),
     )
-    return accepted, stats
+    return samples, stats
 
 
 def _enlarged_output_probs(setup: SimulationSetup, space) -> np.ndarray:

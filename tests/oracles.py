@@ -3,7 +3,9 @@
 Nothing here touches the permanent machinery: amplitudes come from a literal
 multinomial expansion of creation operators, state counting is done by
 brute-force enumeration, exact permanents use rational arithmetic and mesh
-unitaries are literal products of full-size elements.
+unitaries are literal products of full-size elements.  A recursive
+generator checks the blockwise state space, and a per-draw loop checks the
+chunked rejection sampler.
 """
 
 import math
@@ -41,6 +43,39 @@ def operator_expansion_amplitude(u, input_state, output_state) -> complex:
 def count_occupations(m: int, n: int) -> int:
     """Number of n-photon m-mode occupation patterns, by exhaustive counting."""
     return sum(1 for combo in product(range(n + 1), repeat=m) if sum(combo) == n)
+
+
+def compositions_desc(m: int, n: int):
+    """Weak compositions of n into m parts, descending lexicographic."""
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in compositions_desc(m - 1, n - first):
+            yield (first,) + rest
+
+
+def rejection_loop(draw_chunk, accept_mask, n_samples: int, trial_budget: int):
+    """Rejection sampling one raw draw at a time.
+
+    `draw_chunk()` returns the next chunk of raw draws (state ranks).  Returns
+    (accepted ranks, raw draws consumed per accepted sample, total draws).
+    """
+    accepted, counts = [], []
+    trials = since_last = 0
+    while len(accepted) < n_samples and trials < trial_budget:
+        for i in draw_chunk():
+            trials += 1
+            since_last += 1
+            if accept_mask[i]:
+                accepted.append(int(i))
+                counts.append(since_last)
+                since_last = 0
+                if len(accepted) == n_samples:
+                    break
+            if trials >= trial_budget:
+                break
+    return accepted, counts, trials
 
 
 def three_step_amplitude(w, gate_factor, v, input_state, output_state) -> complex:

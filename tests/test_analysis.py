@@ -23,6 +23,7 @@ from nlboson import (
     tvd_bunching_experiment,
     write_records_csv,
 )
+from nlboson import analysis
 from nlboson.linear import Distribution
 
 BS = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -183,6 +184,11 @@ def test_truncation_study_shape_and_range():
     assert result.stddev >= 0.0
 
 
+def test_truncation_requires_a_unit():
+    with pytest.raises(ValueError, match="n_unit=0"):
+        truncated_mass_study(2, 4, 1, 0, np.random.default_rng(88))
+
+
 def test_truncation_requires_enough_modes():
     with pytest.raises(DimensionError):
         truncated_mass_study(5, 3, 2, 2, np.random.default_rng(87))
@@ -292,6 +298,24 @@ def test_experiment_rejects_more_photons_than_modes():
     # no gadget map: the check must fire before any synthesis or Haar draw
     with pytest.raises(DimensionError, match="n=3, m=2"):
         tvd_bunching_experiment(3, [4, 2], [1], 1.0, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("k_list", [[0], [1, -2], [5], [2, 7]])
+def test_experiment_rejects_bad_ancilla_counts_first(k_list, monkeypatch):
+    def untouched(*args, **kwargs):
+        raise AssertionError("drew or synthesized before validating k")
+
+    monkeypatch.setattr(analysis, "optimize_gadget", untouched)
+    monkeypatch.setattr(analysis, "haar_unitary", untouched)
+    bad = next(k for k in k_list if not 1 <= k <= 4)
+    with pytest.raises(DimensionError, match=f"k={bad}"):
+        tvd_bunching_experiment(2, [3], k_list, 1.0, trials=1, seed=0)
+
+
+def test_experiment_rejects_nonpositive_k_with_a_gadget_map(gadget_k1, gadget_k2):
+    with pytest.raises(DimensionError, match="k=0"):
+        tvd_bunching_experiment(2, [3], [0, 1], 1.0, trials=1, seed=0,
+                                gadgets={0: gadget_k1, 1: gadget_k1, 2: gadget_k2})
 
 
 def test_experiment_missing_gadget_detected(gadget_k1):

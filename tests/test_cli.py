@@ -176,6 +176,27 @@ def test_analyze_truncation_command(tmp_path):
     assert 0 < summary["mean"] < 1
 
 
+@pytest.mark.parametrize("command", ["cumulative", "truncation"])
+def test_analyze_zero_units_is_an_error_line(tmp_path, capsys, command):
+    out = tmp_path / "a.csv"
+    code = main(["analyze", command, "--n", "2", "--m", "4", "--units", "0",
+                 "--out", str(out)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "5", "1,5"])
+def test_experiment_bad_ancilla_count_is_an_error_line(tmp_path, capsys, k):
+    out = tmp_path / "rec.csv"
+    code = main(["experiment", "tvd-bunching", "--n", "2", "--modes", "3", "--k", k,
+                 "--trials", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"k={k.split(',')[-1]}" in err
+    assert not out.exists()
+
+
 def test_analyze_linear_search_command(tmp_path):
     cfg = tmp_path / "exp.json"
     _write_experiment_config(cfg)

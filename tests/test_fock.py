@@ -1,7 +1,11 @@
 import math
+import pickle
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+
+from nlboson import fock
 
 from nlboson import (
     DimensionError,
@@ -15,9 +19,18 @@ from nlboson import (
     photon_count,
     space_size,
 )
-from nlboson.fock import _index_arrays, occupation_indices
+from nlboson.fock import StateSpace, _index_arrays, occupation_indices
 
-from .oracles import count_occupations
+from .oracles import compositions_desc, count_occupations
+
+ORACLE_SPACES = [(m, n) for m in range(1, 11) for n in range(7)] + [(16, 4), (27, 3)]
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """A fresh, empty space cache for one test; the shared one comes back after."""
+    monkeypatch.setattr(fock, "_cache", OrderedDict())
+    monkeypatch.setattr(fock, "_cache_nbytes", 0)
 
 
 def test_enumerate_two_modes_two_photons():
@@ -132,3 +145,89 @@ def test_index_arrays_equal_the_per_state_helpers(m, n):
     want = np.array([float(normalization_product(s)) for s in space])
     assert norms.dtype == float
     assert np.array_equal(norms, want)
+
+
+# ---------------------------------------------------------------------------
+# the array-backed, shared space
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m, n", ORACLE_SPACES)
+def test_blockwise_order_equals_the_generator(m, n):
+    want = list(compositions_desc(m, n))
+    space = enumerate_states(m, n)
+    assert list(space.states) == want
+    assert space.occupations.shape == (len(want), m)
+    assert np.array_equal(space.occupations, np.array(want).reshape(len(want), m))
+
+
+def test_blockwise_order_from_any_cache_state(empty_cache):
+    # cold, from a partly filled cache, and bypassing the cache altogether
+    order = [(27, 3), (9, 6), (10, 6), (3, 6), (12, 2), (5, 5)]
+    for m, n in order:
+        want = list(compositions_desc(m, n))
+        assert list(enumerate_states(m, n).states) == want
+        assert list(StateSpace(m, n).states) == want
+
+
+@pytest.mark.parametrize("m, n", ORACLE_SPACES)
+def test_ranks_equal_rank_and_position(m, n):
+    space = enumerate_states(m, n)
+    ranks = space.ranks(space.occupations)
+    assert ranks.tolist() == list(range(len(space)))
+    assert [space.rank(s) for s in space.states] == list(range(len(space)))
+    assert space.ranks(list(space.states)[::-1]).tolist() == list(range(len(space)))[::-1]
+    assert all(space.unrank(r) == s for r, s in enumerate(space.states))
+
+
+def test_ranks_reject_mismatched_states():
+    space = enumerate_states(3, 2)
+    with pytest.raises(DimensionError, match="3 modes"):
+        space.ranks([(1, 1)])  # wrong mode count
+    with pytest.raises(DimensionError, match="3 photons"):
+        space.ranks([(2, 0, 0), (1, 1, 1)])  # wrong photon count in one row
+    with pytest.raises(ValueError, match="non-negative"):
+        space.ranks([(2, 0, 0), (3, -1, 0)])
+    assert space.ranks([]).shape == (0,)
+
+
+def test_enumerate_states_shares_one_instance():
+    assert enumerate_states(6, 3) is enumerate_states(6, 3)
+    space = enumerate_states(4, 2)
+    assert pickle.loads(pickle.dumps(space)) is space
+    assert StateSpace(4, 2) == space and hash(StateSpace(4, 2)) == hash(space)
+    assert repr(space) == "StateSpace(m=4, n=2, size=10)"
+
+
+def test_shared_space_is_read_only():
+    space = enumerate_states(5, 3)
+    indices, norms = _index_arrays(space)
+    assert _index_arrays(space)[0] is indices
+    for array in (space.occupations, indices, norms):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    for name in ("m", "occupations", "states", "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(space, name, None)
+    with pytest.raises(AttributeError):
+        del space.n
+
+
+def test_cache_stays_within_its_byte_bound(empty_cache, monkeypatch):
+    bound = 200_000
+    monkeypatch.setattr(fock, "CACHE_MAX_BYTES", bound)
+    # spaces with their views from a few KB up to ~2 MB, i.e. past the bound
+    for m, n in [(4, 2), (8, 4), (12, 5), (14, 6), (5, 3), (16, 4), (27, 3), (3, 40)]:
+        space = enumerate_states(m, n)
+        assert list(space.states[:3]) == list(compositions_desc(m, n))[:3]
+        _index_arrays(space)
+        charged = [nbytes for _, nbytes in fock._cache.values()]
+        assert fock._cache_nbytes == sum(charged) <= bound
+        assert all(s._nbytes == b for s, b in fock._cache.values())
+        assert (space._nbytes <= bound) == ((m, n) in fock._cache)
+    # a space whose views outgrow the bound leaves alone, not with the others
+    big = StateSpace(16, 4)
+    small = enumerate_states(3, 2)
+    assert fock._cache_put(big) is big
+    big.states
+    assert (16, 4) not in fock._cache and fock._cache[(3, 2)][0] is small

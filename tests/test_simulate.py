@@ -19,9 +19,11 @@ from nlboson import (
     tvd,
     unitarity_deviation,
 )
-from nlboson.linear import Distribution
+from nlboson.fock import enumerate_states
+from nlboson.linear import Distribution, _inverse_sample
+from nlboson.simulate import _enlarged_output_probs
 
-from .oracles import operator_expansion_amplitude
+from .oracles import operator_expansion_amplitude, rejection_loop
 
 BS = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -189,6 +191,66 @@ def test_rejection_sampling_budget_abort(gadget_k2):
     with pytest.raises(SamplingBudgetError) as err:
         run_rejection_sampling(setup, 10_000, np.random.default_rng(72), trial_budget=500)
     assert err.value.trials == 500
+
+
+def _rejection_case(gadget, seed):
+    """A setup, its enlarged space, raw probabilities and accept mask."""
+    rng = np.random.default_rng(seed)
+    w, v = haar_unitary(3, rng), haar_unitary(3, rng)
+    setup = build_setup(w, v, 2, (1, 1, 0), gadget)
+    space = enumerate_states(setup.m + setup.k, setup.n + setup.k)
+    anc = (1,) * setup.k
+    mask = np.array([st[setup.m:] == anc for st in space.states])
+    return setup, space, _enlarged_output_probs(setup, space), mask
+
+
+def _assert_matches_per_draw_loop(setup, space, probs, mask, n_samples, seed, budget):
+    rng = np.random.default_rng(seed)
+    ranks, counts, trials = rejection_loop(lambda: _inverse_sample(probs, 4096, rng),
+                                           mask, n_samples, budget)
+    if len(ranks) < n_samples:
+        with pytest.raises(SamplingBudgetError) as err:
+            run_rejection_sampling(setup, n_samples, np.random.default_rng(seed),
+                                   trial_budget=budget)
+        assert (err.value.accepted, err.value.trials) == (len(ranks), trials)
+        return trials
+    samples, stats = run_rejection_sampling(setup, n_samples, np.random.default_rng(seed),
+                                            trial_budget=budget)
+    assert samples == [space.states[i][:setup.m] for i in ranks]
+    assert stats.trials == trials
+    assert stats.trial_counts.tolist() == counts
+    return trials
+
+
+def _first_chunk_hits(probs, mask, seed):
+    return np.flatnonzero(mask[_inverse_sample(probs, 4096, np.random.default_rng(seed))])
+
+
+def test_rejection_chunks_match_per_draw_loop_when_budget_ends_mid_chunk(gadget_k2):
+    case = _rejection_case(gadget_k2, 73)
+    for budget in (1, 2500, 4096 + 1234):
+        trials = _assert_matches_per_draw_loop(*case, 10_000, 74, budget)
+        assert trials == budget
+
+
+def test_rejection_chunks_match_per_draw_loop_when_samples_end_mid_chunk(gadget_k2):
+    setup, space, probs, mask = case = _rejection_case(gadget_k2, 75)
+    in_first = len(_first_chunk_hits(probs, mask, 76))
+    assert in_first > 10
+    for n_samples in (1, in_first // 2, in_first + 7, 3 * in_first):
+        trials = _assert_matches_per_draw_loop(*case, n_samples, 76, 10**6)
+        assert trials % 4096 != 0
+
+
+def test_rejection_chunks_match_per_draw_loop_on_a_chunks_last_draw(gadget_k2):
+    setup, space, probs, mask = case = _rejection_case(gadget_k2, 77)
+    seed = next(s for s in range(1000) if _first_chunk_hits(probs, mask, s)[-1] == 4095)
+    in_first = len(_first_chunk_hits(probs, mask, seed))
+    # the last sample is the chunk's last draw, with and without the budget ending there
+    for budget in (10**6, 4096):
+        assert _assert_matches_per_draw_loop(*case, in_first, seed, budget) == 4096
+    # one more sample: the stream runs on into the next chunk
+    assert _assert_matches_per_draw_loop(*case, in_first + 1, seed, 10**6) > 4096
 
 
 def test_rejection_sampling_enlarged_space_guard():
