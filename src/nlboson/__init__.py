@@ -50,9 +50,7 @@ from .gadget import (
     DEFAULT_SUCCESS_THRESHOLDS,
     GadgetSpec,
     apply_gadget,
-    expanded_gadget_matrix,
     gadget_from_json,
-    gadget_objective,
     gadget_residuals,
     gadget_to_json,
     heralded_factors,
@@ -65,12 +63,10 @@ from .gadget import (
     verify_gadget,
 )
 from .linalg import (
-    ReckParams,
     direct_sum,
     gathered_permanents,
     haar_unitary,
     load_matrix,
-    matmul,
     matrix_from_json,
     matrix_from_states,
     matrix_to_json,
@@ -78,8 +74,6 @@ from .linalg import (
     permanent_naive,
     permanents,
     phase_shifter,
-    random_reck_params,
-    reck_to_unitary,
     require_unitary,
     save_matrix,
     unitarity_deviation,

@@ -28,9 +28,14 @@ FockState = tuple[int, ...]
 # apply the tighter 10**6 guard of nlboson.linear._guard_space.
 MAX_SPACE_SIZE = 5_000_000
 
+# Bytes of arrays one space may hold, predicted before it is built (see
+# _space_nbytes); the same figure as linalg.MAX_PERMANENTS_BYTES.  The
+# build's temporaries add about half as much again at their peak.
+MAX_SPACE_BYTES = 1 << 30
+
 # Bytes of spaces enumerate_states keeps for reuse, least recently used
-# first out; each space is charged for its occupation array and for the
-# index arrays and tuple view once built (see StateSpace._nbytes).
+# first out; each space is charged for its arrays when stored and for its
+# tuple view once built (see StateSpace._nbytes).
 CACHE_MAX_BYTES = 64 * 2**20
 
 
@@ -40,10 +45,6 @@ def as_state(occupations: Iterable[int]) -> FockState:
     if state and min(state) < 0:
         raise ValueError(f"occupations must be non-negative, got {state}")
     return state
-
-
-def mode_count(state: Sequence[int]) -> int:
-    return len(state)
 
 
 def photon_count(state: Sequence[int]) -> int:
@@ -111,21 +112,54 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _stack_blocks(m: int, n: int, below: Sequence[np.ndarray]) -> np.ndarray:
-    """Occupations of space(m, n) from those of space(m-1, k), k = 0..n.
+def _space_nbytes(m: int, n: int) -> int:
+    """Bytes of the arrays a space of n photons in m modes holds.
 
-    Descending-lex order is the concatenation, over the first occupation
-    f = n..0, of the rows [f, space(m-1, n-f)].
+    Per state: m occupations, n intp labels and one float norm.
     """
-    occ = np.empty((space_size(m, n), m), dtype=_occupation_dtype(n))
-    start = 0
-    for f in range(n, -1, -1):
-        block = below[n - f]
-        stop = start + len(block)
-        occ[start:stop, 0] = f
-        occ[start:stop, 1:] = block
-        start = stop
-    return _read_only(occ)
+    itemsize = np.dtype(_occupation_dtype(n)).itemsize
+    return space_size(m, n) * (m * itemsize + np.dtype(np.intp).itemsize * n + 8)
+
+
+def _build(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, occupations and normalization products of space(m, n).
+
+    Row i of the (size, n) `labels` array is the occupation indices of state
+    i, its photons' modes in ascending order; descending-lex order on the
+    occupations is ascending-lex order on these rows.  The rows whose first
+    label is f are f followed by the rows of one photon fewer whose labels
+    are all >= f, so the array grows one photon at a time.  Every array is
+    read-only.
+    """
+    modes = np.arange(m)
+    labels = np.zeros((1, 0), dtype=np.intp)
+    for k in range(1, n + 1):
+        # the rows of one photon fewer whose first label is >= f start at start[f]
+        start = (np.searchsorted(labels[:, 0], modes) if k > 1
+                 else np.zeros(m, dtype=np.intp))
+        counts = len(labels) - start
+        shift = np.repeat(start - (np.cumsum(counts) - counts), counts)
+        grown = np.empty((len(shift), k), dtype=np.intp)
+        grown[:, 0] = np.repeat(modes, counts)
+        grown[:, 1:] = labels[np.arange(len(shift)) + shift]
+        labels = grown
+    size = len(labels)
+    rows = np.arange(size)
+    occupations = np.zeros((size, m), dtype=_occupation_dtype(n))
+    for column in labels.T:  # one photon per row and column: no repeated index
+        occupations[rows, column] += 1
+    # prod s_i! is the product of the running run lengths along each sorted
+    # row; exact integers (every product divides n!), rounded once to float
+    # as float(normalization_product(state)) is
+    dtype = np.int64 if n <= 20 else object
+    norms = np.ones(size, dtype=dtype)
+    run = np.ones(size, dtype=dtype)
+    for c in range(1, n):
+        run = np.where(labels[:, c] == labels[:, c - 1], run + 1, 1)
+        norms *= run
+    if dtype is object:  # a product too large for a float (n > 170) reads as inf
+        norms[norms > sys.float_info.max] = math.inf
+    return _read_only(labels), _read_only(occupations), _read_only(norms.astype(float))
 
 
 class StateSpace:
@@ -133,38 +167,33 @@ class StateSpace:
 
     The ordering is descending lexicographic on the occupation tuple, so
     ``(2,0) < (1,1) < (0,2)`` by rank.  ``occupations`` holds the states as
-    the rows of a read-only (size, m) integer array; ``states`` is the same
-    list as a tuple of tuples of Python ints, built on first use.  Instances
-    are immutable and safe to share between threads.
+    the rows of a read-only (size, m) integer array, built photon by photon
+    together with the index arrays of :func:`_index_arrays`; ``states`` is
+    the same list as a tuple of tuples of Python ints, built on first use.
+    Instances are immutable and safe to share between threads.
     """
 
-    __slots__ = ("m", "n", "occupations", "_rank_rows", "_states", "_index")
+    __slots__ = ("m", "n", "occupations", "_index", "_rank_rows", "_states")
 
     def __init__(self, m: int, n: int):
         size = space_size(m, n)
+        m, n = int(m), int(n)
         if size > MAX_SPACE_SIZE:
             raise StateSpaceTooLargeError(
                 f"state space for m={m}, n={n} has {size} elements "
                 f"(cap {MAX_SPACE_SIZE})"
             )
-        self._init(int(m), int(n), _build_occupations(int(m), int(n)))
-
-    @classmethod
-    def _of(cls, m: int, n: int, occupations: np.ndarray) -> "StateSpace":
-        space = object.__new__(cls)
-        space._init(m, n, occupations)
-        return space
-
-    def _init(self, m: int, n: int, occupations: np.ndarray) -> None:
+        nbytes = _space_nbytes(m, n)
+        if nbytes > MAX_SPACE_BYTES:
+            raise StateSpaceTooLargeError(
+                f"state space for m={m}, n={n} would hold {nbytes / 2**30:.1f} GiB "
+                f"of arrays (cap {MAX_SPACE_BYTES / 2**30:g} GiB)"
+            )
+        labels, occupations, norms = _build(m, n)
         for name, value in (("m", m), ("n", n), ("occupations", occupations),
-                            ("_rank_rows", None), ("_states", None), ("_index", None)):
+                            ("_index", (labels, norms)), ("_rank_rows", None),
+                            ("_states", None)):
             object.__setattr__(self, name, value)
-
-    def _set_view(self, name: str, value) -> None:
-        # a lazily built view is set once; the cache is charged for its bytes
-        before = self._nbytes
-        object.__setattr__(self, name, value)
-        _charge_cache(self, self._nbytes - before)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"StateSpace is immutable; cannot set {name!r}")
@@ -181,21 +210,22 @@ class StateSpace:
         states = self._states
         if states is None:
             states = tuple(map(tuple, self.occupations.tolist()))
-            self._set_view("_states", states)
+            # set once; a cached space is charged for the view's bytes
+            before = self._nbytes
+            object.__setattr__(self, "_states", states)
+            _charge_cache(self, self._nbytes - before)
         return states
 
     @property
     def _nbytes(self) -> int:
-        """Memory held by the occupation array and by the views built so far.
+        """Memory held by the arrays and, once built, by the tuple view.
 
-        The tuple view counts one tuple per state, one slot per state in the
-        outer tuple, and an int object per occupation above 256 (smaller ones
-        are shared by the interpreter).  The rank tables, m(n+1) entries, are
-        not counted.
+        The arrays take :func:`_space_nbytes`.  The tuple view counts one
+        tuple per state, one slot per state in the outer tuple, and an int
+        object per occupation above 256 (smaller ones are shared by the
+        interpreter).  The rank tables, m(n+1) entries, are not counted.
         """
-        total = self.occupations.nbytes
-        if self._index is not None:
-            total += sum(a.nbytes for a in self._index)
+        total = self.occupations.nbytes + sum(a.nbytes for a in self._index)
         if self._states is not None:
             per_state = sys.getsizeof((0,) * self.m) + 8
             large = int(np.count_nonzero(self.occupations > 256))
@@ -342,42 +372,6 @@ def _trim_cache() -> None:
         _cache_nbytes -= nbytes
 
 
-def _cached_level(j: int, n: int) -> list[np.ndarray] | None:
-    """Occupations of space(j, k) for k = 0..n if all are cached, else None."""
-    level = []
-    for k in range(n + 1):
-        space = _cache_get(j, k)
-        if space is None:
-            return None
-        level.append(space.occupations)
-    return level
-
-
-def _build_occupations(m: int, n: int) -> np.ndarray:
-    """Occupations of space(m, n), built blockwise from the spaces below.
-
-    Starts at the highest level j < m whose spaces (j, k <= n) are all
-    cached, or at one mode, and builds every level above it in turn, caching
-    each new space; no level is built twice and nothing recurses.
-    """
-    if m == 1:
-        return _read_only(np.full((1, 1), n, dtype=_occupation_dtype(n)))
-    j = m - 1
-    below = _cached_level(j, n)
-    while below is None and j > 1:
-        j -= 1
-        below = _cached_level(j, n)
-    if below is None:
-        below = [_read_only(np.full((1, 1), k, dtype=_occupation_dtype(k)))
-                 for k in range(n + 1)]
-    for level in range(j + 1, m):
-        spaces = [_cache_get(level, k) for k in range(n + 1)]
-        below = [(space if space is not None
-                  else _cache_put(StateSpace._of(level, k, _stack_blocks(level, k, below))))
-                 .occupations for k, space in enumerate(spaces)]
-    return _stack_blocks(m, n, below)
-
-
 def enumerate_states(m: int, n: int) -> StateSpace:
     """The space of n photons in m modes, shared between calls.
 
@@ -395,19 +389,7 @@ def _index_arrays(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(indices, norms)``: row i of the (len(space), n) integer array
     is ``occupation_indices(space.states[i])`` and ``norms[i]`` is
-    ``float(normalization_product(space.states[i]))``, without a per-state
-    Python call.  Built once per space; both arrays are read-only.
+    ``float(normalization_product(space.states[i]))``.  Both are built with
+    the space and read-only.
     """
-    if space._index is None:
-        m, n, size = space.m, space.n, len(space)
-        occ = space.occupations
-        # each row of `occ` sums to n, so repeating the mode labels by
-        # occupation yields one row of n indices per state
-        indices = np.repeat(np.tile(np.arange(m), size), occ.ravel()).reshape(size, n)
-        # exact integer products (every product divides n!), rounded once to
-        # float as float(normalization_product(state)) is
-        dtype = np.int64 if n <= 20 else object
-        factorials = np.array([math.factorial(j) for j in range(n + 1)], dtype=dtype)
-        norms = factorials[occ].prod(axis=1).astype(float)
-        space._set_view("_index", (_read_only(indices), _read_only(norms)))
     return space._index

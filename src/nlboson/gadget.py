@@ -31,22 +31,18 @@ from scipy import optimize
 
 from .errors import DimensionError, GadgetSynthesisError, NotUnitaryError
 from .linalg import (
-    ReckParams,
     _mesh_unitary,
     _ryser_gray,
     matrix_from_json,
     matrix_to_json,
-    reck_to_unitary,
     unitarity_deviation,
 )
 
 __all__ = [
     "GadgetSpec",
-    "expanded_gadget_matrix",
     "heralded_factors",
     "success_probability",
     "gadget_residuals",
-    "gadget_objective",
     "success_bound",
     "optimize_gadget",
     "reference_gadget",
@@ -100,19 +96,6 @@ def _checked_gadget_matrix(u_eff) -> np.ndarray:
     if not np.isfinite(u).all():
         raise ValueError("matrix contains non-finite entries")
     return u
-
-
-def expanded_gadget_matrix(u_eff, l: int) -> np.ndarray:
-    """First row and column repeated l times (removed entirely for l = 0).
-
-    Any l >= 0 is allowed: l > k describes more signal photons than the
-    gadget was designed for, which still herald (with an unintended factor).
-    """
-    u = _checked_gadget_matrix(u_eff)
-    if l < 0:
-        raise DimensionError(f"repetition count must be >= 0, got {l}")
-    idx = [0] * l + list(range(1, u.shape[0]))
-    return u[np.ix_(idx, idx)]
 
 
 def heralded_factors(u_eff, n: int) -> np.ndarray:
@@ -224,13 +207,6 @@ def _heralding_probability(u: np.ndarray) -> float:
 def _objective_of_matrix(u_eff, phi: float) -> float:
     res = gadget_residuals(u_eff, phi)
     return float(np.sum(res.real**2 + res.imag**2))
-
-
-def gadget_objective(params: ReckParams, phi: float, k: int) -> float:
-    """Sum of squared condition residuals at the mesh unitary."""
-    if params.m != k + 1:
-        raise DimensionError(f"k={k} gadget needs mesh parameters for m={k + 1} modes")
-    return _objective_of_matrix(reck_to_unitary(params), phi)
 
 
 def success_bound(phi: float) -> float:

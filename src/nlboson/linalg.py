@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 from typing import Sequence
@@ -33,12 +32,8 @@ __all__ = [
     "gathered_permanents",
     "matrix_from_states",
     "haar_unitary",
-    "ReckParams",
-    "random_reck_params",
-    "reck_to_unitary",
     "direct_sum",
     "phase_shifter",
-    "matmul",
     "unitarity_deviation",
     "require_unitary",
     "matrix_to_json",
@@ -263,59 +258,6 @@ def require_unitary(U, tol: float = 1e-8, context: str = "") -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True, eq=False)
-class ReckParams:
-    """Angles of a triangular two-mode-rotation mesh on m modes.
-
-    thetas:        m(m-1)/2 mixing angles in [0, pi/2]
-    phis:          m(m-1)/2 internal phases in [0, 2*pi)
-    output_phases: m output phases in [0, 2*pi)
-
-    Any in-range assignment maps to a unitary; the mesh plus output phases
-    covers all of U(m).
-    """
-
-    m: int
-    thetas: np.ndarray
-    phis: np.ndarray
-    output_phases: np.ndarray
-
-    def __post_init__(self):
-        n_pairs = self.m * (self.m - 1) // 2
-        thetas = np.atleast_1d(np.asarray(self.thetas, dtype=float))
-        phis = np.atleast_1d(np.asarray(self.phis, dtype=float))
-        out = np.atleast_1d(np.asarray(self.output_phases, dtype=float))
-        if self.m < 1:
-            raise DimensionError(f"mode count must be >= 1, got {self.m}")
-        if thetas.shape != (n_pairs,) or phis.shape != (n_pairs,):
-            raise DimensionError(
-                f"m={self.m} needs {n_pairs} thetas and phis, "
-                f"got {thetas.shape} and {phis.shape}"
-            )
-        if out.shape != (self.m,):
-            raise DimensionError(f"m={self.m} needs {self.m} output phases, got {out.shape}")
-        if n_pairs and (thetas.min() < 0 or thetas.max() > math.pi / 2):
-            raise ValueError("thetas must lie in [0, pi/2]")
-        if n_pairs and (phis.min() < 0 or phis.max() >= 2 * math.pi):
-            raise ValueError("phis must lie in [0, 2*pi)")
-        if out.min() < 0 or out.max() >= 2 * math.pi:
-            raise ValueError("output phases must lie in [0, 2*pi)")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "phis", phis)
-        object.__setattr__(self, "output_phases", out)
-
-
-def random_reck_params(m: int, rng: np.random.Generator) -> ReckParams:
-    """Uniformly random in-range mesh angles (not Haar-weighted)."""
-    n_pairs = m * (m - 1) // 2
-    return ReckParams(
-        m=m,
-        thetas=rng.uniform(0.0, math.pi / 2, n_pairs),
-        phis=rng.uniform(0.0, 2 * math.pi, n_pairs),
-        output_phases=rng.uniform(0.0, 2 * math.pi, m),
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def _mesh_channels(m: int) -> tuple[int, ...]:
     # Adjacent-pair channel sequence of the triangular mesh, in synthesis
@@ -346,11 +288,6 @@ def _mesh_unitary(m: int, thetas, phis, output_phases) -> np.ndarray:
     return np.array(cols, dtype=complex).T
 
 
-def reck_to_unitary(params: ReckParams) -> np.ndarray:
-    """Unitary realized by the triangular mesh; unitary by construction."""
-    return _mesh_unitary(params.m, params.thetas, params.phis, params.output_phases)
-
-
 def direct_sum(a, b) -> np.ndarray:
     """Block-diagonal composition of two matrices."""
     a = np.asarray(a, dtype=complex)
@@ -370,15 +307,6 @@ def phase_shifter(m: int, mode: int, phi: float) -> np.ndarray:
     f = np.eye(m, dtype=complex)
     f[mode - 1, mode - 1] = complex(math.cos(phi), -math.sin(phi))
     return f
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with a dimension check; 'A then B' composes as A @ B."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ class Distribution:
         return float(self.probs[self.space.rank(state)])
 
     def as_dict(self) -> dict[FockState, float]:
-        return {s: float(p) for s, p in zip(self.space.states, self.probs)}
+        return dict(zip(map(tuple, self.space.occupations.tolist()), self.probs.tolist()))
 
     def total(self) -> float:
         return float(self.probs.sum())
@@ -158,7 +158,7 @@ def sample_exact(U, input_state, count: int, rng: np.random.Generator,
     _guard_space(len(s), photon_count(s), "sample_exact")
     dist = output_distribution(U, s, unitarity_tol=unitarity_tol)
     idx = _inverse_sample(dist.probs, int(count), rng)
-    return [dist.space.states[i] for i in idx]
+    return list(map(tuple, dist.space.occupations[idx].tolist()))
 
 
 def verify_composition(W, V, input_state, output_state,
@@ -194,11 +194,17 @@ def verify_composition(W, V, input_state, output_state,
 # printed with 17 significant digits for lossless round-trips
 # ---------------------------------------------------------------------------
 
+_CSV_CHUNK = 1 << 16  # rows converted to Python values at a time
+
+
 def write_distribution_csv(dist: Distribution, path) -> None:
+    occ, probs = dist.space.occupations, dist.probs
     with open(path, "w", newline="") as fh:
         fh.write("state,probability\n")
-        for state, p in zip(dist.space.states, dist.probs):
-            fh.write(f'"{",".join(str(c) for c in state)}",{p:.17g}\n')
+        for start in range(0, len(probs), _CSV_CHUNK):
+            rows = slice(start, start + _CSV_CHUNK)
+            fh.writelines(f'"{",".join(map(str, state))}",{p:.17g}\n'
+                          for state, p in zip(occ[rows].tolist(), probs[rows].tolist()))
 
 
 def read_distribution_csv(path) -> Distribution:
@@ -217,6 +223,7 @@ def read_distribution_csv(path) -> Distribution:
     m = len(states[0])
     n = photon_count(states[0])
     space = enumerate_states(m, n)
-    if list(space.states) != states:
+    if (len(states) != len(space) or any(len(s) != m for s in states)
+            or not np.array_equal(states, space.occupations)):
         raise ValueError("distribution CSV rows are not the canonical state ordering")
     return Distribution(space, np.array(probs))

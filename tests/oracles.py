@@ -4,7 +4,8 @@ Nothing here touches the permanent machinery: amplitudes come from a literal
 multinomial expansion of creation operators, state counting is done by
 brute-force enumeration, exact permanents use rational arithmetic and mesh
 unitaries are literal products of full-size elements.  A recursive
-generator checks the blockwise state space, and a per-draw loop checks the
+generator checks the state space, the expanded gadget matrix feeds the
+permanent routes of the gadget kernel, and a per-draw loop checks the
 chunked rejection sampler.
 """
 
@@ -13,6 +14,8 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from nlboson import DimensionError
 
 
 def operator_expansion_amplitude(u, input_state, output_state) -> complex:
@@ -46,13 +49,39 @@ def count_occupations(m: int, n: int) -> int:
 
 
 def compositions_desc(m: int, n: int):
-    """Weak compositions of n into m parts, descending lexicographic."""
-    if m == 1:
-        yield (n,)
+    """Weak compositions of n into m parts, descending lexicographic.
+
+    Recurses on the first non-zero part, so the depth is at most n + 1 for
+    any m.
+    """
+    if n == 0:
+        yield (0,) * m
         return
-    for first in range(n, -1, -1):
-        for rest in compositions_desc(m - 1, n - first):
-            yield (first,) + rest
+    # the first non-zero part sits in mode i and holds f photons: states with
+    # an earlier non-zero part come first, and a larger f before a smaller one
+    for i in range(m):
+        for f in range(n, 0, -1):
+            for rest in compositions_desc(m - i - 1, n - f):
+                yield (0,) * i + (f,) + rest
+
+
+def expanded_gadget_matrix(u_eff, l: int) -> np.ndarray:
+    """Gadget matrix with its first row and column repeated l times.
+
+    Removed entirely for l = 0.  per(u^{l,1,...,1}) / l! is the heralded
+    factor of the signal's l-photon component; any l >= 0 is allowed, since
+    l > k photons still herald (with an unintended factor).  Checks its
+    input as the library's gadget entries do.
+    """
+    u = np.asarray(u_eff, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 2:
+        raise DimensionError(f"expected a square matrix of size >= 2, got {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("matrix contains non-finite entries")
+    if l < 0:
+        raise DimensionError(f"repetition count must be >= 0, got {l}")
+    idx = [0] * l + list(range(1, u.shape[0]))
+    return u[np.ix_(idx, idx)]
 
 
 def rejection_loop(draw_chunk, accept_mask, n_samples: int, trial_budget: int):

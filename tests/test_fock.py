@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -24,6 +25,8 @@ from nlboson.fock import StateSpace, _index_arrays, occupation_indices
 from .oracles import compositions_desc, count_occupations
 
 ORACLE_SPACES = [(m, n) for m in range(1, 11) for n in range(7)] + [(16, 4), (27, 3)]
+# many modes, few photons: the direct build does no work per mode
+LARGE_M_SPACES = [(200, 2), (1000, 1)]
 
 
 @pytest.fixture
@@ -132,7 +135,8 @@ def test_occupation_indices():
     assert occupation_indices((0, 0)) == []
 
 
-@pytest.mark.parametrize("m, n", [(1, 0), (3, 0), (1, 4), (4, 3), (5, 5), (2, 19), (2, 21), (3, 22)])
+@pytest.mark.parametrize("m, n", [(1, 0), (3, 0), (1, 4), (4, 3), (5, 5), (2, 19), (2, 21), (3, 22),
+                                  (200, 2)])
 def test_index_arrays_equal_the_per_state_helpers(m, n):
     # bit-identical, including products above 2^53 (n >= 19) where a float
     # product of factorials could round differently
@@ -151,13 +155,16 @@ def test_index_arrays_equal_the_per_state_helpers(m, n):
 # the array-backed, shared space
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("m, n", ORACLE_SPACES)
+@pytest.mark.parametrize("m, n", ORACLE_SPACES + LARGE_M_SPACES)
 def test_blockwise_order_equals_the_generator(m, n):
     want = list(compositions_desc(m, n))
     space = enumerate_states(m, n)
     assert list(space.states) == want
     assert space.occupations.shape == (len(want), m)
     assert np.array_equal(space.occupations, np.array(want).reshape(len(want), m))
+    labels, _ = _index_arrays(space)
+    assert np.array_equal(labels, np.array([occupation_indices(s) for s in want],
+                                           dtype=np.intp).reshape(len(want), n))
 
 
 def test_blockwise_order_from_any_cache_state(empty_cache):
@@ -225,9 +232,46 @@ def test_cache_stays_within_its_byte_bound(empty_cache, monkeypatch):
         assert fock._cache_nbytes == sum(charged) <= bound
         assert all(s._nbytes == b for s, b in fock._cache.values())
         assert (space._nbytes <= bound) == ((m, n) in fock._cache)
-    # a space whose views outgrow the bound leaves alone, not with the others
-    big = StateSpace(16, 4)
+    # a space whose tuple view outgrows the bound leaves alone, not with the
+    # others: (12, 4) holds 71 KB of arrays and 267 KB with its view
+    big = StateSpace(12, 4)
     small = enumerate_states(3, 2)
-    assert fock._cache_put(big) is big
+    assert fock._cache_put(big) is big and fock._cache[(12, 4)][0] is big
     big.states
-    assert (16, 4) not in fock._cache and fock._cache[(3, 2)][0] is small
+    assert (12, 4) not in fock._cache and fock._cache[(3, 2)][0] is small
+
+
+def test_norms_beyond_the_float_range_read_as_inf():
+    space = enumerate_states(2, 171)
+    _, norms = _index_arrays(space)
+    assert norms[space.rank((171, 0))] == math.inf
+    assert norms[space.rank((170, 1))] == float(math.factorial(170))
+    assert norms[space.rank((86, 85))] == float(normalization_product((86, 85)))
+
+
+def test_cold_build_caches_one_space(empty_cache):
+    space = enumerate_states(16, 4)
+    assert list(fock._cache) == [(16, 4)]
+    assert fock._cache_nbytes == space._nbytes == fock._space_nbytes(16, 4)
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (3, 2), (16, 4), (2, 200), (200, 2)])
+def test_predicted_bytes_equal_the_arrays(m, n):
+    space = StateSpace(m, n)
+    labels, norms = _index_arrays(space)
+    assert fock._space_nbytes(m, n) == space.occupations.nbytes + labels.nbytes + norms.nbytes
+
+
+def test_space_bytes_guard_refuses_before_allocating():
+    # 2,001,000 states pass the state cap but would hold 4.0 GB of arrays
+    assert space_size(2000, 2) <= fock.MAX_SPACE_SIZE
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLargeError, match="3.8 GiB"):
+            enumerate_states(2000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(StateSpaceTooLargeError, match="GiB"):
+        StateSpace(300, 3)

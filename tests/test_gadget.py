@@ -7,11 +7,8 @@ from nlboson import (
     DimensionError,
     GadgetSpec,
     GadgetSynthesisError,
-    ReckParams,
     apply_gadget,
-    expanded_gadget_matrix,
     gadget_from_json,
-    gadget_objective,
     gadget_residuals,
     gadget_to_json,
     haar_unitary,
@@ -20,8 +17,6 @@ from nlboson import (
     optimize_gadget,
     permanent,
     permanent_naive,
-    random_reck_params,
-    reck_to_unitary,
     reference_gadget,
     save_gadget,
     success_bound,
@@ -32,16 +27,17 @@ from nlboson import (
 from nlboson.gadget import (
     _expanded_permanents,
     _matrix_from_raw,
+    _objective_of_matrix,
     _penalized_objective,
     _random_raw,
     _residual_vector,
 )
 
-from .oracles import permanent_exact
+from .oracles import expanded_gadget_matrix, permanent_exact
 
 
 # ---------------------------------------------------------------------------
-# expansion
+# expansion (the oracle behind the permanent routes below)
 # ---------------------------------------------------------------------------
 
 def test_expansion_once_is_the_matrix_itself():
@@ -225,17 +221,11 @@ def test_identity_is_a_zero_phase_gadget():
 def test_objective_matches_residual_norm_and_is_nonnegative():
     rng = np.random.default_rng(50)
     for _ in range(5):
-        params = random_reck_params(3, rng)
-        d = gadget_objective(params, 0.7, 2)
-        res = gadget_residuals(reck_to_unitary(params), 0.7)
+        u = _matrix_from_raw(_random_raw(3, rng), 3)
+        d = _objective_of_matrix(u, 0.7)
+        res = gadget_residuals(u, 0.7)
         assert d >= 0.0
         assert d == pytest.approx(float(np.sum(np.abs(res) ** 2)), abs=1e-12)
-
-
-def test_objective_checks_mode_count():
-    params = ReckParams(2, np.zeros(1), np.zeros(1), np.zeros(2))
-    with pytest.raises(DimensionError):
-        gadget_objective(params, 0.5, 2)
 
 
 def test_success_bound_values():

@@ -7,12 +7,10 @@ import pytest
 
 from nlboson import (
     DimensionError,
-    ReckParams,
     StateSpaceTooLargeError,
     direct_sum,
     gathered_permanents,
     haar_unitary,
-    matmul,
     matrix_from_json,
     matrix_from_states,
     matrix_to_json,
@@ -21,8 +19,6 @@ from nlboson import (
     permanent_naive,
     permanents,
     phase_shifter,
-    random_reck_params,
-    reck_to_unitary,
     unitarity_deviation,
 )
 from nlboson.linalg import MAX_PERMANENTS_BYTES, _mesh_unitary, _permanents_bytes
@@ -225,14 +221,19 @@ def test_haar_first_column_moments():
 # mesh parametrization
 # ---------------------------------------------------------------------------
 
+def _random_angles(m, rng):
+    # uniformly random in-range mesh angles (not Haar-weighted)
+    n_pairs = m * (m - 1) // 2
+    return (rng.uniform(0.0, math.pi / 2, n_pairs), rng.uniform(0.0, 2 * math.pi, n_pairs),
+            rng.uniform(0.0, 2 * math.pi, m))
+
+
 def test_mesh_identity_at_zero_angles():
-    params = ReckParams(3, np.zeros(3), np.zeros(3), np.zeros(3))
-    assert np.allclose(reck_to_unitary(params), np.eye(3))
+    assert np.allclose(_mesh_unitary(3, np.zeros(3), np.zeros(3), np.zeros(3)), np.eye(3))
 
 
 def test_mesh_balanced_beamsplitter():
-    params = ReckParams(2, np.array([math.pi / 4]), np.zeros(1), np.zeros(2))
-    u = reck_to_unitary(params)
+    u = _mesh_unitary(2, np.array([math.pi / 4]), np.zeros(1), np.zeros(2))
     assert unitarity_deviation(u) < 1e-12
     assert np.allclose(np.abs(u), np.full((2, 2), 1 / math.sqrt(2)))
 
@@ -241,7 +242,7 @@ def test_mesh_random_params_unitary():
     rng = np.random.default_rng(17)
     for m in (2, 3, 5):
         for _ in range(5):
-            u = reck_to_unitary(random_reck_params(m, rng))
+            u = _mesh_unitary(m, *_random_angles(m, rng))
             assert unitarity_deviation(u) < 1e-12
 
 
@@ -249,20 +250,11 @@ def test_mesh_matches_the_literal_element_product():
     rng = np.random.default_rng(72)
     for m in range(1, 7):
         for _ in range(3):
-            p = random_reck_params(m, rng)
-            got = _mesh_unitary(m, p.thetas, p.phis, p.output_phases)
-            want = mesh_unitary_product(m, p.thetas, p.phis, p.output_phases)
+            angles = _random_angles(m, rng)
+            got = _mesh_unitary(m, *angles)
+            want = mesh_unitary_product(m, *angles)
             assert got.shape == (m, m)
             assert np.abs(got - want).max() <= 1e-15
-
-
-def test_mesh_parameter_count_validation():
-    with pytest.raises(DimensionError):
-        ReckParams(3, np.zeros(2), np.zeros(3), np.zeros(3))
-    with pytest.raises(DimensionError):
-        ReckParams(3, np.zeros(3), np.zeros(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        ReckParams(2, np.array([math.pi]), np.zeros(1), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +271,6 @@ def test_phase_shifter():
     assert np.allclose(phase_shifter(4, 1, 0.0), np.eye(4))
     with pytest.raises(DimensionError):
         phase_shifter(3, 4, 0.1)
-
-
-def test_matmul_checks_dimensions():
-    with pytest.raises(DimensionError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-    assert np.allclose(matmul(np.eye(2), np.eye(2)), np.eye(2))
 
 
 # ---------------------------------------------------------------------------

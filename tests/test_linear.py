@@ -1,5 +1,5 @@
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -19,6 +19,8 @@ from nlboson import (
     verify_composition,
     write_distribution_csv,
 )
+from nlboson import fock, linear
+from nlboson.fock import StateSpace
 from nlboson.linear import Distribution
 
 from .oracles import operator_expansion_amplitude
@@ -193,3 +195,37 @@ def test_distribution_csv_round_trip(tmp_path):
     loaded = read_distribution_csv(path)
     assert loaded.space == dist.space
     assert np.abs(loaded.probs - dist.probs).max() < 1e-16
+
+
+def test_csv_and_samples_leave_the_tuple_view_unbuilt(tmp_path, monkeypatch):
+    # rows come from the occupation array, several chunks of it here
+    monkeypatch.setattr(fock, "_cache", OrderedDict())
+    monkeypatch.setattr(fock, "_cache_nbytes", 0)
+    monkeypatch.setattr(linear, "_CSV_CHUNK", 7)
+    space = StateSpace(4, 3)
+    probs = np.arange(1.0, len(space) + 1) / 3
+    dist = Distribution(space, probs / probs.sum())
+    path = tmp_path / "dist.csv"
+    write_distribution_csv(dist, path)
+    as_dict = dist.as_dict()
+    loaded = read_distribution_csv(path)
+    samples = sample_exact(np.eye(4), (1, 0, 2, 0), 3, np.random.default_rng(1))
+    assert space._states is None and loaded.space._states is None
+    assert path.read_text().splitlines()[1:] == [
+        f'"{",".join(map(str, s))}",{p:.17g}' for s, p in zip(space.states, dist.probs)
+    ]
+    assert as_dict == {s: float(p) for s, p in zip(space.states, dist.probs)}
+    assert np.array_equal(loaded.probs, dist.probs)
+    assert samples == [(1, 0, 2, 0)] * 3
+
+
+def test_csv_reader_rejects_rows_out_of_canonical_order(tmp_path):
+    dist = output_distribution(haar_unitary(3, np.random.default_rng(12)), (1, 1, 0))
+    path = tmp_path / "dist.csv"
+    write_distribution_csv(dist, path)
+    header, *rows = path.read_text().splitlines()
+    ragged = rows[:-1] + ['"0,2",0']
+    for body in (rows[1:] + rows[:1], rows[:-1], ragged):
+        path.write_text("\n".join([header, *body]) + "\n")
+        with pytest.raises(ValueError, match="canonical state ordering"):
+            read_distribution_csv(path)
