@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .fock import as_state
+from .fock import FockState, as_state
 from .gadget import DEFAULT_SUCCESS_THRESHOLDS, MAX_ANCILLAS, GadgetSpec, optimize_gadget
 from .linalg import haar_unitary
 from .linear import Distribution, _unit_sum_distribution, output_distribution
@@ -123,17 +123,22 @@ class TruncationResult:
     samples: np.ndarray
 
 
+def _single_photons(n: int, m: int) -> FockState:
+    """One photon in each of the first n of m modes."""
+    if n > m:
+        raise DimensionError(f"need m >= n to inject single photons, got n={n}, m={m}")
+    return as_state((1,) * n + (0,) * (m - n))
+
+
 def truncated_mass_study(n: int, m: int, n_max: int, n_unit: int,
                          rng: np.random.Generator) -> TruncationResult:
     """Average mass of outcomes with at most `n_max` photons per mode.
 
     Single photons enter the first n modes of `n_unit` Haar-random unitaries.
     """
-    if n > m:
-        raise DimensionError(f"need m >= n to inject single photons, got n={n}, m={m}")
+    s = _single_photons(n, m)
     if n_unit < 1:
         raise ValueError(f"need at least one unitary, got n_unit={n_unit}")
-    s = as_state((1,) * n + (0,) * (m - n))
     samples = np.empty(int(n_unit))
     for i in range(int(n_unit)):
         u = haar_unitary(m, rng)
@@ -224,7 +229,7 @@ def _experiment_trial(args) -> list[ExperimentRecord]:
     w = haar_unitary(m, rng)
     v = haar_unitary(m, rng)
     x = mode_x if mode_x is not None else default_gate_mode(m)
-    s = as_state((1,) * n + (0,) * (m - n))
+    s = _single_photons(n, m)
     # one set of photon-number components serves the reference and every k
     space, components = photon_number_components(w, v, x, s)
     if reference == "gadget":
@@ -290,6 +295,8 @@ def tvd_bunching_experiment(
     too_low = [k for k in k_list if k < 1]
     if too_low:
         raise DimensionError(f"ancilla counts must be >= 1, got k={too_low[0]}")
+    if int(trials) < 1:
+        raise ValueError(f"need at least one trial, got trials={trials}")
     needed = set(k_list) | ({n} if reference == "gadget" else set())
     if gadgets is None:
         gadgets = synthesize_gadgets(sorted(needed), phi, seed, starts=starts)

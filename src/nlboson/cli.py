@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _single_photons,
     default_gate_mode,
     fraction_for_threshold,
     random_unitary_search,
@@ -266,7 +267,7 @@ def _cmd_analyze_cumulative(args) -> int:
     thresholds = [float(x) for x in args.thresholds.split(",")]
     if args.units < 1:
         raise ValueError(f"--units must be at least 1, got {args.units}")
-    s = (1,) * args.n + (0,) * (args.m - args.n)
+    s = _single_photons(args.n, args.m)
     rows = []
     for unit in range(args.units):
         rng = np.random.default_rng([args.seed, unit])

@@ -2,10 +2,11 @@
 
 A Fock state is a plain tuple of non-negative occupation numbers, one per
 optical mode.  ``StateSpace`` holds every such state for fixed photon number
-and mode count as the rows of a read-only integer array, in descending
-lexicographic order, which fixes a total, reproducible ordering for
-distributions, CSV output and rank lookup.  :func:`enumerate_states` hands
-out one shared space per (m, n) from a cache bounded in bytes.
+and mode count as three read-only arrays (occupations, mode labels and
+factorial norms, one row per state), in descending lexicographic order,
+which fixes a total, reproducible ordering for distributions, CSV output and
+rank lookup.  :func:`enumerate_states` hands out one shared space per
+(m, n) from a cache bounded in bytes.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ MAX_SPACE_SIZE = 5_000_000
 MAX_SPACE_BYTES = 1 << 30
 
 # Bytes of spaces enumerate_states keeps for reuse, least recently used
-# first out; each space is charged for its arrays when stored and for its
-# tuple view once built (see StateSpace._nbytes).
+# first out; each space is charged _space_nbytes, all that it holds.
 CACHE_MAX_BYTES = 64 * 2**20
+
+# Rows converted to tuples at a time when a space is iterated
+_ROW_CHUNK = 1 << 16
 
 
 def as_state(occupations: Iterable[int]) -> FockState:
@@ -166,14 +169,17 @@ class StateSpace:
     """All Fock states of n photons in m modes, in a fixed total order.
 
     The ordering is descending lexicographic on the occupation tuple, so
-    ``(2,0) < (1,1) < (0,2)`` by rank.  ``occupations`` holds the states as
-    the rows of a read-only (size, m) integer array, built photon by photon
-    together with the index arrays of :func:`_index_arrays`; ``states`` is
-    the same list as a tuple of tuples of Python ints, built on first use.
-    Instances are immutable and safe to share between threads.
+    ``(2,0) < (1,1) < (0,2)`` by rank.  A space is three read-only arrays,
+    built together photon by photon: ``occupations`` holds the states as the
+    rows of a (size, m) integer array; row i of the (size, n) ``labels``
+    array is ``occupation_indices`` of state i; ``norms[i]`` is
+    ``float(normalization_product(state i))``.  Iterating or indexing the
+    space converts rows to tuples of Python ints on demand, and ``states``
+    is the space itself.  Instances are immutable and safe to share between
+    threads.
     """
 
-    __slots__ = ("m", "n", "occupations", "_index", "_rank_rows", "_states")
+    __slots__ = ("m", "n", "occupations", "labels", "norms", "_rank_rows")
 
     def __init__(self, m: int, n: int):
         size = space_size(m, n)
@@ -191,8 +197,7 @@ class StateSpace:
             )
         labels, occupations, norms = _build(m, n)
         for name, value in (("m", m), ("n", n), ("occupations", occupations),
-                            ("_index", (labels, norms)), ("_rank_rows", None),
-                            ("_states", None)):
+                            ("labels", labels), ("norms", norms), ("_rank_rows", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -205,42 +210,22 @@ class StateSpace:
         return enumerate_states, (self.m, self.n)
 
     @property
-    def states(self) -> tuple[FockState, ...]:
-        """Every state as a tuple of Python ints, in rank order."""
-        states = self._states
-        if states is None:
-            states = tuple(map(tuple, self.occupations.tolist()))
-            # set once; a cached space is charged for the view's bytes
-            before = self._nbytes
-            object.__setattr__(self, "_states", states)
-            _charge_cache(self, self._nbytes - before)
-        return states
-
-    @property
-    def _nbytes(self) -> int:
-        """Memory held by the arrays and, once built, by the tuple view.
-
-        The arrays take :func:`_space_nbytes`.  The tuple view counts one
-        tuple per state, one slot per state in the outer tuple, and an int
-        object per occupation above 256 (smaller ones are shared by the
-        interpreter).  The rank tables, m(n+1) entries, are not counted.
-        """
-        total = self.occupations.nbytes + sum(a.nbytes for a in self._index)
-        if self._states is not None:
-            per_state = sys.getsizeof((0,) * self.m) + 8
-            large = int(np.count_nonzero(self.occupations > 256))
-            total += (sys.getsizeof(()) + len(self) * per_state
-                      + large * sys.getsizeof(257))
-        return total
+    def states(self) -> StateSpace:
+        """The space itself, as a sequence of tuples of Python ints in rank order."""
+        return self
 
     def __len__(self) -> int:
         return len(self.occupations)
 
     def __iter__(self) -> Iterator[FockState]:
-        return iter(self.states)
+        for start in range(0, len(self.occupations), _ROW_CHUNK):
+            yield from map(tuple, self.occupations[start:start + _ROW_CHUNK].tolist())
 
-    def __getitem__(self, rank: int) -> FockState:
-        return self.states[rank]
+    def __getitem__(self, key):
+        """The state of rank `key`, or a tuple of the states in a slice."""
+        if isinstance(key, slice):
+            return tuple(map(tuple, self.occupations[key].tolist()))
+        return self.unrank(key)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, StateSpace) and (self.m, self.n) == (other.m, other.n)
@@ -320,7 +305,7 @@ class StateSpace:
 # the shared spaces
 # ---------------------------------------------------------------------------
 
-_cache: OrderedDict[tuple[int, int], list] = OrderedDict()  # key -> [space, charged bytes]
+_cache: OrderedDict[tuple[int, int], tuple] = OrderedDict()  # key -> (space, charged bytes)
 _cache_nbytes = 0
 _cache_lock = threading.Lock()
 
@@ -342,27 +327,12 @@ def _cache_put(space: StateSpace) -> StateSpace:
         entry = _cache.get(key)
         if entry is not None:
             return entry[0]
-        nbytes = space._nbytes
+        nbytes = _space_nbytes(space.m, space.n)
         if nbytes <= CACHE_MAX_BYTES:
-            _cache[key] = [space, nbytes]
+            _cache[key] = (space, nbytes)
             _cache_nbytes += nbytes
             _trim_cache()
     return space
-
-
-def _charge_cache(space: StateSpace, nbytes: int) -> None:
-    """Charge a cached `space` for a view it has just built."""
-    global _cache_nbytes
-    with _cache_lock:
-        entry = _cache.get((space.m, space.n))
-        if entry is None or entry[0] is not space:
-            return
-        entry[1] += nbytes
-        _cache_nbytes += nbytes
-        if entry[1] > CACHE_MAX_BYTES:
-            del _cache[(space.m, space.n)]
-            _cache_nbytes -= entry[1]
-        _trim_cache()
 
 
 def _trim_cache() -> None:
@@ -383,13 +353,3 @@ def enumerate_states(m: int, n: int) -> StateSpace:
         space = _cache_put(StateSpace(m, n))
     return space
 
-
-def _index_arrays(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Every state's occupation indices and normalization product, as arrays.
-
-    Returns ``(indices, norms)``: row i of the (len(space), n) integer array
-    is ``occupation_indices(space.states[i])`` and ``norms[i]`` is
-    ``float(normalization_product(space.states[i]))``.  Both are built with
-    the space and read-only.
-    """
-    return space._index

@@ -296,6 +296,10 @@ def optimize_gadget(
         p_th = DEFAULT_SUCCESS_THRESHOLDS[k]
     if not 0.0 < p_th < 1.0:
         raise ValueError(f"success threshold must be in (0, 1), got {p_th}")
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     if k == 1:
         # A one-photon "non-linearity" is a plain phase: diag(e^{-i phi}, 1)
         # satisfies the single condition exactly with unit success probability.

@@ -15,7 +15,6 @@ from .errors import DimensionError, StateSpaceTooLargeError
 from .fock import (
     FockState,
     StateSpace,
-    _index_arrays,
     as_state,
     enumerate_states,
     normalization_product,
@@ -100,21 +99,19 @@ def _guard_space(m: int, n: int, what: str) -> None:
         )
 
 
-def _amplitudes_to_all(U, input_state, cols: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Amplitudes from one input to every state of a space, batched.
+def _amplitudes_to_all(U, input_state, space: StateSpace) -> np.ndarray:
+    """Amplitudes from one input to every state of `space`, batched.
 
-    `cols` and `norms` are the space's arrays from
-    :func:`~nlboson.fock._index_arrays`, so a caller making several passes
-    over one space builds them once.  No unitarity re-check; callers
-    validate once.
+    Reads the space's ``labels`` and ``norms``.  No unitarity re-check;
+    callers validate once.
     """
     s = as_state(input_state)
     if photon_count(s) == 0:
-        return np.ones(len(norms), dtype=complex)
+        return np.ones(len(space), dtype=complex)
     rows = np.array(occupation_indices(s), dtype=np.intp)
-    pers = gathered_permanents(U, rows, cols)
+    pers = gathered_permanents(U, rows, space.labels)
     norm_in = math.sqrt(normalization_product(s))
-    return pers / (norm_in * np.sqrt(norms))
+    return pers / (norm_in * np.sqrt(space.norms))
 
 
 def _unit_sum_distribution(space: StateSpace, amps, *unitaries) -> Distribution:
@@ -140,7 +137,7 @@ def output_distribution(U, input_state, *, unitarity_tol: float = 1e-8) -> Distr
     if len(s) != u.shape[0]:
         raise DimensionError(f"state has {len(s)} modes, matrix has {u.shape[0]}")
     space = enumerate_states(len(s), photon_count(s))
-    return _unit_sum_distribution(space, _amplitudes_to_all(u, s, *_index_arrays(space)), u)
+    return _unit_sum_distribution(space, _amplitudes_to_all(u, s, space), u)
 
 
 def _inverse_sample(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,6 +174,7 @@ def verify_composition(W, V, input_state, output_state,
     n = photon_count(s)
     if photon_count(t) != n:
         raise DimensionError("input and output photon numbers differ")
+    _guard_space(len(s), n, "verify_composition")
     space = enumerate_states(len(s), n)
     lhs = permanent(matrix_from_states(w @ v, s, t))
     rhs = 0j

@@ -37,7 +37,6 @@ from .errors import DimensionError
 from .fock import (
     FockState,
     StateSpace,
-    _index_arrays,
     as_state,
     enumerate_states,
     normalization_product,
@@ -130,10 +129,10 @@ def nonlinear_amplitude(exp: NonlinearExperiment, output_state,
         raise DimensionError(
             f"output state {t} does not live in the {exp.n}-photon {exp.m}-mode space"
         )
-    indices, norms = _index_arrays(exp.space())
-    first = _amplitudes_to_all(exp.w, exp.input_state, indices, norms)
-    second = _amplitudes_to_all(exp.v.T, t, indices, norms)
-    photons_at_x = (indices == exp.gate.mode - 1).sum(axis=1)
+    space = exp.space()
+    first = _amplitudes_to_all(exp.w, exp.input_state, space)
+    second = _amplitudes_to_all(exp.v.T, t, space)
+    photons_at_x = space.occupations[:, exp.gate.mode - 1]
     factors = exp.gate.number_factors(exp.n)[photons_at_x]
     return complex(np.sum(first * factors * second))
 
@@ -203,8 +202,8 @@ def photon_number_components(w, v, mode_x: int, input_state,
     ``g @ A``.
 
     Costs n+1 batched linear passes, one per unitary W F_theta V at
-    theta_q = 2 pi q/(n+1), and an inverse DFT over q; the column-index and
-    normalization arrays are built once and shared by every pass.
+    theta_q = 2 pi q/(n+1), and an inverse DFT over q; every pass reads the
+    labels and norms of the one shared space.
     """
     w_u = require_unitary(w, unitarity_tol, "photon_number_components: W")
     v_u = require_unitary(v, unitarity_tol, "photon_number_components: V")
@@ -218,9 +217,8 @@ def photon_number_components(w, v, mode_x: int, input_state,
         raise DimensionError(f"gate mode {mode_x} out of range [1, {m}]")
     _guard_space(m, n, "photon_number_components")
     space = enumerate_states(m, n)
-    cols, norms = _index_arrays(space)
     passes = np.array([
-        _amplitudes_to_all(linearized_evolution(w_u, mode_x, theta, v_u), s, cols, norms)
+        _amplitudes_to_all(linearized_evolution(w_u, mode_x, theta, v_u), s, space)
         for theta in _fourier_phases(n)
     ])
     return space, _inverse_dft(passes)

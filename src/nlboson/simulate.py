@@ -22,7 +22,6 @@ from .errors import DimensionError, PostselectionError, SamplingBudgetError
 from .fock import (
     FockState,
     StateSpace,
-    _index_arrays,
     as_state,
     concat_states,
     enumerate_states,
@@ -210,6 +209,5 @@ def run_rejection_sampling(
 
 
 def _enlarged_output_probs(setup: SimulationSetup, space) -> np.ndarray:
-    amps = _amplitudes_to_all(setup.enlarged_unitary, setup.enlarged_input,
-                              *_index_arrays(space))
+    amps = _amplitudes_to_all(setup.enlarged_unitary, setup.enlarged_input, space)
     return np.abs(amps) ** 2

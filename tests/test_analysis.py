@@ -312,6 +312,16 @@ def test_experiment_rejects_bad_ancilla_counts_first(k_list, monkeypatch):
         tvd_bunching_experiment(2, [3], k_list, 1.0, trials=1, seed=0)
 
 
+def test_experiment_rejects_no_trials_first(monkeypatch):
+    def untouched(*args, **kwargs):
+        raise AssertionError("drew or synthesized before validating trials")
+
+    monkeypatch.setattr(analysis, "optimize_gadget", untouched)
+    monkeypatch.setattr(analysis, "haar_unitary", untouched)
+    with pytest.raises(ValueError, match="trials=0"):
+        tvd_bunching_experiment(2, [3], [1, 2], 1.0, trials=0, seed=0)
+
+
 def test_experiment_rejects_nonpositive_k_with_a_gadget_map(gadget_k1, gadget_k2):
     with pytest.raises(DimensionError, match="k=0"):
         tvd_bunching_experiment(2, [3], [0, 1], 1.0, trials=1, seed=0,

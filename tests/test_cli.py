@@ -197,6 +197,38 @@ def test_experiment_bad_ancilla_count_is_an_error_line(tmp_path, capsys, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--starts", "--budget"])
+def test_gadget_optimize_empty_search_is_an_error_line(tmp_path, capsys, flag):
+    out = tmp_path / "g.json"
+    code = main(["gadget", "optimize", "--k", "2", flag, "0", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"{flag[2:]} must be at least 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [("--starts", "starts must be at least 1"),
+                                           ("--trials", "trials=0")])
+def test_experiment_empty_study_is_an_error_line(tmp_path, capsys, flag, message):
+    out = tmp_path / "rec.csv"
+    code = main(["experiment", "tvd-bunching", "--n", "2", "--modes", "3", "--k", "1",
+                 flag, "0", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert not out.exists()
+
+
+def test_analyze_cumulative_more_photons_than_modes_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "cum.csv"
+    code = main(["analyze", "cumulative", "--n", "5", "--m", "3", "--units", "2",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: need m >= n" in err and "n=5, m=3" in err
+    assert not out.exists()
+
+
 def test_analyze_linear_search_command(tmp_path):
     cfg = tmp_path / "exp.json"
     _write_experiment_config(cfg)

@@ -17,16 +17,24 @@ from nlboson import (
     format_state,
     normalization_product,
     parse_state,
+    phase_gate_amplitude_split,
     photon_count,
     space_size,
+    verify_composition,
 )
-from nlboson.fock import StateSpace, _index_arrays, occupation_indices
+from nlboson.fock import StateSpace, occupation_indices
 
 from .oracles import compositions_desc, count_occupations
 
 ORACLE_SPACES = [(m, n) for m in range(1, 11) for n in range(7)] + [(16, 4), (27, 3)]
 # many modes, few photons: the direct build does no work per mode
 LARGE_M_SPACES = [(200, 2), (1000, 1)]
+# the slots of a space that hold something: its size and its three arrays
+ARRAYS_ONLY = {"m", "n", "occupations", "labels", "norms"}
+
+
+def held(space):
+    return {name for name in StateSpace.__slots__ if getattr(space, name) is not None}
 
 
 @pytest.fixture
@@ -141,7 +149,7 @@ def test_index_arrays_equal_the_per_state_helpers(m, n):
     # bit-identical, including products above 2^53 (n >= 19) where a float
     # product of factorials could round differently
     space = enumerate_states(m, n)
-    indices, norms = _index_arrays(space)
+    indices, norms = space.labels, space.norms
     assert indices.shape == (len(space), n)
     assert indices.dtype == np.intp
     assert np.array_equal(indices, np.array([occupation_indices(s) for s in space],
@@ -162,8 +170,7 @@ def test_blockwise_order_equals_the_generator(m, n):
     assert list(space.states) == want
     assert space.occupations.shape == (len(want), m)
     assert np.array_equal(space.occupations, np.array(want).reshape(len(want), m))
-    labels, _ = _index_arrays(space)
-    assert np.array_equal(labels, np.array([occupation_indices(s) for s in want],
+    assert np.array_equal(space.labels, np.array([occupation_indices(s) for s in want],
                                            dtype=np.intp).reshape(len(want), n))
 
 
@@ -205,15 +212,47 @@ def test_enumerate_states_shares_one_instance():
     assert repr(space) == "StateSpace(m=4, n=2, size=10)"
 
 
+@pytest.mark.parametrize("m, n", [(3, 0), (4, 3), (6, 4)])
+def test_sequence_of_tuples_across_row_chunks(m, n, monkeypatch):
+    # rows become tuples 7 at a time here, so 126 states cross 18 chunks
+    monkeypatch.setattr(fock, "_ROW_CHUNK", 7)
+    want = list(compositions_desc(m, n))
+    space = StateSpace(m, n)
+    assert space.states is space
+    assert list(space) == list(space.states) == want
+    for r in {0, 6, 7, 8, 14, len(want) - 1} & set(range(len(want))):
+        assert space[r] == space.states[r] == space[np.int64(r)] == want[r]
+    assert space[-1] == space.states[-1] == want[-1]
+    assert all(type(c) is int for c in space[0])
+    for cut in [slice(0, 7), slice(5, 16), slice(-9, None), slice(3, 3), slice(None),
+                slice(None, None, 3), slice(None, None, -1)]:
+        assert space[cut] == space.states[cut] == tuple(want[cut])
+    with pytest.raises(IndexError):
+        space[len(want)]
+    with pytest.raises(TypeError):
+        space[1.0]
+    assert held(space) == ARRAYS_ONLY
+
+
+@pytest.mark.parametrize("call", [
+    lambda u: verify_composition(u, u, (1, 1, 0, 0), (0, 1, 1, 0)),
+    lambda u: phase_gate_amplitude_split(u, 2, 0.7, u, (1, 1, 0, 0), (0, 2, 0, 0)),
+], ids=["verify_composition", "phase_gate_amplitude_split"])
+def test_a_loop_over_a_space_keeps_nothing(empty_cache, call):
+    # both walk the whole intermediate space as tuples
+    call(np.eye(4, dtype=complex))
+    space, charged = fock._cache[(4, 2)]
+    assert held(space) == ARRAYS_ONLY
+    assert charged == fock._cache_nbytes == fock._space_nbytes(4, 2)
+
+
 def test_shared_space_is_read_only():
     space = enumerate_states(5, 3)
-    indices, norms = _index_arrays(space)
-    assert _index_arrays(space)[0] is indices
-    for array in (space.occupations, indices, norms):
+    for array in (space.occupations, space.labels, space.norms):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
-    for name in ("m", "occupations", "states", "new_attribute"):
+    for name in ("m", "occupations", "labels", "norms", "states", "new_attribute"):
         with pytest.raises(AttributeError):
             setattr(space, name, None)
     with pytest.raises(AttributeError):
@@ -223,27 +262,19 @@ def test_shared_space_is_read_only():
 def test_cache_stays_within_its_byte_bound(empty_cache, monkeypatch):
     bound = 200_000
     monkeypatch.setattr(fock, "CACHE_MAX_BYTES", bound)
-    # spaces with their views from a few KB up to ~2 MB, i.e. past the bound
+    # spaces from a few KB up to ~2 MB, i.e. past the bound
     for m, n in [(4, 2), (8, 4), (12, 5), (14, 6), (5, 3), (16, 4), (27, 3), (3, 40)]:
         space = enumerate_states(m, n)
         assert list(space.states[:3]) == list(compositions_desc(m, n))[:3]
-        _index_arrays(space)
         charged = [nbytes for _, nbytes in fock._cache.values()]
         assert fock._cache_nbytes == sum(charged) <= bound
-        assert all(s._nbytes == b for s, b in fock._cache.values())
-        assert (space._nbytes <= bound) == ((m, n) in fock._cache)
-    # a space whose tuple view outgrows the bound leaves alone, not with the
-    # others: (12, 4) holds 71 KB of arrays and 267 KB with its view
-    big = StateSpace(12, 4)
-    small = enumerate_states(3, 2)
-    assert fock._cache_put(big) is big and fock._cache[(12, 4)][0] is big
-    big.states
-    assert (12, 4) not in fock._cache and fock._cache[(3, 2)][0] is small
+        assert all(b == fock._space_nbytes(*key) for key, (_, b) in fock._cache.items())
+        assert (fock._space_nbytes(m, n) <= bound) == ((m, n) in fock._cache)
 
 
 def test_norms_beyond_the_float_range_read_as_inf():
     space = enumerate_states(2, 171)
-    _, norms = _index_arrays(space)
+    norms = space.norms
     assert norms[space.rank((171, 0))] == math.inf
     assert norms[space.rank((170, 1))] == float(math.factorial(170))
     assert norms[space.rank((86, 85))] == float(normalization_product((86, 85)))
@@ -252,14 +283,15 @@ def test_norms_beyond_the_float_range_read_as_inf():
 def test_cold_build_caches_one_space(empty_cache):
     space = enumerate_states(16, 4)
     assert list(fock._cache) == [(16, 4)]
-    assert fock._cache_nbytes == space._nbytes == fock._space_nbytes(16, 4)
+    assert fock._cache[(16, 4)] == (space, fock._space_nbytes(16, 4))
+    assert fock._cache_nbytes == fock._space_nbytes(16, 4)
 
 
 @pytest.mark.parametrize("m, n", [(1, 0), (3, 2), (16, 4), (2, 200), (200, 2)])
 def test_predicted_bytes_equal_the_arrays(m, n):
     space = StateSpace(m, n)
-    labels, norms = _index_arrays(space)
-    assert fock._space_nbytes(m, n) == space.occupations.nbytes + labels.nbytes + norms.nbytes
+    arrays = (space.occupations, space.labels, space.norms)
+    assert fock._space_nbytes(m, n) == sum(a.nbytes for a in arrays)
 
 
 def test_space_bytes_guard_refuses_before_allocating():

@@ -272,6 +272,13 @@ def test_synthesis_reports_infeasible_threshold():
     assert err.value.best.success_prob < 0.9
 
 
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("name", ["starts", "budget"])
+def test_synthesis_rejects_an_empty_search(k, name):
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+        optimize_gadget(k, math.pi / 2, **{name: 0})
+
+
 def test_synthesis_k_range():
     with pytest.raises(ValueError):
         optimize_gadget(5, math.pi / 2)

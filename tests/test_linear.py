@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter, OrderedDict
 
 import numpy as np
@@ -158,6 +159,21 @@ def test_sampling_space_guard():
 # composition identity
 # ---------------------------------------------------------------------------
 
+def test_composition_guard_refuses_before_allocating():
+    # (45, 5) spans 1,906,884 intermediate states, two scalar permanents each
+    u = np.eye(45, dtype=complex)
+    s = (1,) * 5 + (0,) * 40
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLargeError,
+                           match=r"verify_composition: n=5 photons in m=45 modes"):
+            verify_composition(u, u, s, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_composition_identity_for_identity_factors():
     assert verify_composition(np.eye(3), np.eye(3), (1, 1, 0), (1, 1, 0)) < 1e-14
 
@@ -210,7 +226,9 @@ def test_csv_and_samples_leave_the_tuple_view_unbuilt(tmp_path, monkeypatch):
     as_dict = dist.as_dict()
     loaded = read_distribution_csv(path)
     samples = sample_exact(np.eye(4), (1, 0, 2, 0), 3, np.random.default_rng(1))
-    assert space._states is None and loaded.space._states is None
+    for kept in (space, loaded.space):  # its size and its three arrays, nothing more
+        assert {name for name in StateSpace.__slots__ if getattr(kept, name) is not None} == {
+            "m", "n", "occupations", "labels", "norms"}
     assert path.read_text().splitlines()[1:] == [
         f'"{",".join(map(str, s))}",{p:.17g}' for s, p in zip(space.states, dist.probs)
     ]
