@@ -125,6 +125,8 @@ class TruncationResult:
 
 def _single_photons(n: int, m: int) -> FockState:
     """One photon in each of the first n of m modes."""
+    if n < 0:
+        raise DimensionError(f"photon number must be >= 0, got n={n}")
     if n > m:
         raise DimensionError(f"need m >= n to inject single photons, got n={n}, m={m}")
     return as_state((1,) * n + (0,) * (m - n))
@@ -234,11 +236,9 @@ def _experiment_trial(args) -> list[ExperimentRecord]:
     space, components = photon_number_components(w, v, x, s)
     if reference == "gadget":
         exact, _ = _heralded_distribution(space, components, gadgets[n].u_eff)
-    elif reference == "pathsum":
+    else:  # "pathsum", checked by tvd_bunching_experiment
         amps = SingleModePhase(x, phi).number_factors(n) @ components
         exact = _unit_sum_distribution(space, amps, w, v)
-    else:
-        raise ValueError(f"unknown reference {reference!r} (use 'gadget' or 'pathsum')")
     intermediate = output_distribution(w, s)
     records = []
     for k in k_list:
@@ -286,6 +286,10 @@ def tvd_bunching_experiment(
     factor vectors applied to them.
     """
     n = int(n)
+    if n < 0:
+        raise DimensionError(f"photon number must be >= 0, got n={n}")
+    if reference not in ("gadget", "pathsum"):
+        raise ValueError(f"unknown reference {reference!r} (use 'gadget' or 'pathsum')")
     too_few = [int(m) for m in m_list if int(m) < n]
     if too_few:
         raise DimensionError(
@@ -297,6 +301,9 @@ def tvd_bunching_experiment(
         raise DimensionError(f"ancilla counts must be >= 1, got k={too_low[0]}")
     if int(trials) < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
+    if mode_x is not None and not all(1 <= mode_x <= int(m) for m in m_list):
+        smallest = min(int(m) for m in m_list)
+        raise DimensionError(f"gate mode mode_x={mode_x} out of range [1, {smallest}]")
     needed = set(k_list) | ({n} if reference == "gadget" else set())
     if gadgets is None:
         gadgets = synthesize_gadgets(sorted(needed), phi, seed, starts=starts)

@@ -32,6 +32,7 @@ from scipy import optimize
 from .errors import DimensionError, GadgetSynthesisError, NotUnitaryError
 from .linalg import (
     _mesh_unitary,
+    _mesh_unitary_derivatives,
     _ryser_gray,
     matrix_from_json,
     matrix_to_json,
@@ -129,6 +130,7 @@ class _GlynnTables(NamedTuple):
     weights: np.ndarray  # (P, n+1) the term's weight in per_l, zero where it has none
     exponents: np.ndarray  # (n+1,) l = 0..n
     factorials: np.ndarray  # (n+1,) l!
+    others: np.ndarray  # (k, k-1) row i lists the ancilla rows other than i (0-based)
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,6 +158,8 @@ def _glynn_tables(k: int, n: int) -> _GlynnTables:
         weights=weights,
         exponents=np.arange(n + 1),
         factorials=np.array([math.factorial(l) for l in range(n + 1)], dtype=float),
+        others=np.array([[j for j in range(k) if j != i] for i in range(k)], dtype=np.intp)
+        .reshape(k, k - 1),
     )
     for table in tables:
         table.setflags(write=False)
@@ -185,6 +189,34 @@ def _expanded_permanents(u: np.ndarray, n: int) -> np.ndarray:
     sums = tables.counts @ u.T  # sums[p, i] = r_i of term p
     terms = sums[:, :1] ** tables.exponents * tables.weights
     return sums[:, 1:].prod(axis=1) @ terms
+
+
+def _expanded_permanent_gradients(u: np.ndarray, n: int):
+    """per(u^{l,1,...,1}) and its gradient in u for l = 0..n, shapes (n+1,)
+    and (n+1, k+1, k+1).
+
+    The permanent is a polynomial in the entries of u, so the gradient is
+    holomorphic: d per_l = sum_ij grads[l, i, j] du[i, j].  It comes from
+    `_expanded_permanents`' row sums, since r_i is linear in row i of u with
+    the term's column coefficients counts[p, j]:
+
+        d per_l / d u[0, j] = sum_p w_pl counts[p, j] l r_0^(l-1) prod_{i>=1} r_i,
+        d per_l / d u[i, j] = sum_p w_pl counts[p, j] r_0^l prod_{i'>=1, i'!=i} r_i'.
+    """
+    k = u.shape[0] - 1
+    tables = _glynn_tables(k, n)
+    sums = tables.counts @ u.T
+    powers = sums[:, :1] ** tables.exponents  # r_0^l
+    terms = powers * tables.weights
+    rest = sums[:, 1:]
+    products = rest.prod(axis=1)
+    leave_one_out = rest[:, tables.others].prod(axis=2)
+    grads = np.zeros((n + 1, k + 1, k + 1), dtype=complex)
+    row0 = powers[:, :-1] * products[:, None] * (tables.weights[:, 1:] * tables.exponents[1:])
+    grads[1:, 0] = row0.T @ tables.counts
+    per_row = (leave_one_out[:, :, None] * tables.counts[:, None, :]).reshape(len(sums), -1)
+    grads[:, 1:] = (terms.T @ per_row).reshape(n + 1, k, k + 1)
+    return products @ terms, grads
 
 
 @functools.lru_cache(maxsize=64)
@@ -263,6 +295,27 @@ def _residual_vector(x, m, phi, p_th, lam) -> np.ndarray:
     return np.append(res.view(float), math.sqrt(lam) * shortfall)
 
 
+def _residual_jacobian(x, m, phi, p_th, lam) -> np.ndarray:
+    """Jacobian of `_residual_vector` in the raw angles, row for row.
+
+    Each residual per_l - t_l per_0 is holomorphic in u, so its derivative
+    in angle p is sum_ij (d per_l/du_ij - t_l d per_0/du_ij) du_ij/dx_p;
+    the shortfall row differentiates -sqrt(lam) |per_0|^2 while p_th exceeds
+    the success probability |per_0|^2, and is zero once it does not.
+    """
+    u, du = _mesh_unitary_derivatives(m, *_split_raw(x, m))
+    pers, grads = _expanded_permanent_gradients(u, m - 1)
+    dpers = grads.reshape(m, -1) @ du.reshape(len(du), -1).T  # (k+1, angles)
+    dres = dpers[1:] - _phase_targets(m - 1, float(phi))[:, None] * dpers[0]
+    jac = np.zeros((2 * m - 1, len(du)))
+    jac[0:-1:2] = dres.real
+    jac[1:-1:2] = dres.imag
+    per0 = pers[0]
+    if p_th > abs(per0) ** 2:
+        jac[-1] = -2.0 * math.sqrt(lam) * (per0.conjugate() * dpers[0]).real
+    return jac
+
+
 def _penalized_objective(x, m, phi, p_th, lam) -> float:
     parts = _residual_vector(x, m, phi, p_th, lam)
     return float(parts @ parts)
@@ -279,12 +332,12 @@ def optimize_gadget(
     """Search for a gadget realizing exp(-i n^2 phi) on up to k photons.
 
     Multi-start derivative-free simplex search over the mesh angles, each
-    start refined by a least-squares pass with central finite differences
-    (step ~1e-6); the success-probability constraint enters as an exterior
-    quadratic penalty whose weight escalates tenfold while violated.  Starts
-    are compared by (feasible, objective, -success probability) with the
-    start index as tie-break, and the search stops early once a start reaches
-    numerical zero.  Deterministic for a given generator.
+    start refined by a least-squares pass with the analytic Jacobian of the
+    residuals in the angles; the success-probability constraint enters as an
+    exterior quadratic penalty whose weight escalates tenfold while violated.
+    Starts are compared by (feasible, objective, -success probability) with
+    the start index as tie-break, and the search stops early once a start
+    reaches numerical zero.  Deterministic for a given generator.
 
     Raises GadgetSynthesisError (carrying the best attempt) if no start
     reaches objective <= 1e-8 with the constraint satisfied; the search is
@@ -292,6 +345,8 @@ def optimize_gadget(
     """
     if not 1 <= k <= MAX_ANCILLAS:
         raise ValueError(f"supported ancilla counts are 1..{MAX_ANCILLAS}, got {k}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phase phi must be finite, got phi={phi}")
     if p_th is None:
         p_th = DEFAULT_SUCCESS_THRESHOLDS[k]
     if not 0.0 < p_th < 1.0:
@@ -327,9 +382,8 @@ def optimize_gadget(
                 _residual_vector,
                 x,
                 args=(m, phi, p_th, lam),
-                jac="3-point",
+                jac=_residual_jacobian,
                 method="trf",
-                diff_step=1e-6,
                 xtol=1e-15,
                 ftol=1e-15,
                 gtol=1e-15,

@@ -288,6 +288,57 @@ def _mesh_unitary(m: int, thetas, phis, output_phases) -> np.ndarray:
     return np.array(cols, dtype=complex).T
 
 
+def _mesh_unitary_derivatives(m: int, thetas, phis, output_phases):
+    """`_mesh_unitary` and its derivative in every angle, by forward mode.
+
+    Returns (u, du), du[p] = du/dx_p with the angles x = (thetas, phis,
+    output_phases) in that order.  Each column carries its m entries of u
+    followed by m entries of derivative per rotation angle so far (theta_0,
+    phi_0, theta_1, ...): every rotation mixes these extended columns as
+    `_mesh_unitary` mixes the plain ones, then appends its own angles'
+    derivatives, its 2 x 2 block differentiated.  The output phases multiply
+    the rows of u, so du/d(output phase j) is i u with only row j kept.
+    """
+    channels = _mesh_channels(m)
+    n_rot = len(channels)
+    cols = [[0j] * m for _ in range(m)]
+    for j, a in enumerate(np.asarray(output_phases, dtype=float).tolist()):
+        cols[j][j] = complex(math.cos(a), math.sin(a))
+    angles = zip(
+        channels,
+        np.asarray(thetas, dtype=float).tolist(),
+        np.asarray(phis, dtype=float).tolist(),
+    )
+    for r, (ch, theta, phi) in enumerate(angles):
+        c, s = math.cos(theta), math.sin(theta)
+        eip = complex(math.cos(phi), math.sin(phi))
+        ec, es = eip * c, eip * s
+        # A column no earlier rotation touched has no derivative entries yet:
+        # they are zero, and so are both columns' entries for rotation r.
+        width = m * (1 + 2 * r)
+        left, right = cols[ch], cols[ch + 1]
+        left = left + [0j] * (width - len(left))
+        right = right + [0j] * (width - len(right))
+        new_left = [x * ec + y * es for x, y in zip(left, right)]
+        new_right = [y * c - x * s for x, y in zip(left, right)]
+        pairs = list(zip(left[:m], right[:m]))
+        new_left += [eip * (y * c - x * s) for x, y in pairs]
+        new_left += [1j * v for v in new_left[:m]]
+        new_right += [-(x * c + y * s) for x, y in pairs]
+        new_right += [0j] * m
+        cols[ch], cols[ch + 1] = new_left, new_right
+    width = m * (1 + 2 * n_rot)
+    blocks = np.array([col + [0j] * (width - len(col)) for col in cols], dtype=complex)
+    blocks = blocks.reshape(m, 1 + 2 * n_rot, m).transpose(1, 2, 0)
+    u = blocks[0]
+    du = np.zeros((2 * n_rot + m, m, m), dtype=complex)
+    du[:n_rot] = blocks[1::2]
+    du[n_rot : 2 * n_rot] = blocks[2::2]
+    rows = np.arange(m)
+    du[2 * n_rot + rows, rows] = 1j * u
+    return u, du
+
+
 def direct_sum(a, b) -> np.ndarray:
     """Block-diagonal composition of two matrices."""
     a = np.asarray(a, dtype=complex)

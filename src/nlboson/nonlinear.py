@@ -64,6 +64,10 @@ class SingleModePhase:
     mode: int
     phi: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phase phi must be finite, got phi={self.phi}")
+
     def number_factors(self, n: int) -> np.ndarray:
         """Factors g_j = exp(-i j^2 phi) for j = 0..n photons at the gate site."""
         return np.array([self._number_factor(j) for j in range(n + 1)], dtype=complex)

@@ -5,8 +5,8 @@ multinomial expansion of creation operators, state counting is done by
 brute-force enumeration, exact permanents use rational arithmetic and mesh
 unitaries are literal products of full-size elements.  A recursive
 generator checks the state space, the expanded gadget matrix feeds the
-permanent routes of the gadget kernel, and a per-draw loop checks the
-chunked rejection sampler.
+permanent routes of the gadget kernel, a per-draw loop checks the chunked
+rejection sampler and central differences check the analytic derivatives.
 """
 
 import math
@@ -170,3 +170,15 @@ def mesh_unitary_product(m: int, thetas, phis, output_phases) -> np.ndarray:
         t[ch + 1, ch + 1] = c
         u = u @ t
     return u
+
+
+def central_difference_jacobian(f, x, h: float = 1e-6) -> np.ndarray:
+    """Derivative of f at x by central differences, shape f(x).shape + (len(x),).
+
+    Entry [..., p] is (f(x + h e_p) - f(x - h e_p)) / 2h; f may return any
+    real or complex array.
+    """
+    x = np.asarray(x, dtype=float)
+    steps = h * np.eye(len(x))
+    return np.stack([(np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h) for e in steps],
+                    axis=-1)

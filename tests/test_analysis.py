@@ -322,6 +322,29 @@ def test_experiment_rejects_no_trials_first(monkeypatch):
         tvd_bunching_experiment(2, [3], [1, 2], 1.0, trials=0, seed=0)
 
 
+def test_single_photons_reject_a_negative_photon_number():
+    with pytest.raises(DimensionError, match="n=-1"):
+        analysis._single_photons(-1, 3)
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"n": -1}, DimensionError, "n=-1"),
+    ({"reference": "path"}, ValueError, "'path'"),
+    ({"mode_x": 9}, DimensionError, "mode_x=9 out of range \\[1, 5\\]"),
+    ({"mode_x": 0}, DimensionError, "mode_x=0 out of range \\[1, 5\\]"),
+])
+def test_experiment_rejects_bad_arguments_first(kwargs, error, message, monkeypatch):
+    def untouched(*args, **kwargs):
+        raise AssertionError("drew or synthesized before validating the arguments")
+
+    monkeypatch.setattr(analysis, "synthesize_gadgets", untouched)
+    monkeypatch.setattr(analysis, "haar_unitary", untouched)
+    args = {"n": 3, "m_list": [9, 5], "k_list": [1], "phi": 1.0, "trials": 1, "seed": 0}
+    args.update(kwargs)
+    with pytest.raises(error, match=message):
+        tvd_bunching_experiment(**args)
+
+
 def test_experiment_rejects_nonpositive_k_with_a_gadget_map(gadget_k1, gadget_k2):
     with pytest.raises(DimensionError, match="k=0"):
         tvd_bunching_experiment(2, [3], [0, 1], 1.0, trials=1, seed=0,

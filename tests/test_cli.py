@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nlboson import save_gadget, save_matrix
+from nlboson import analysis, save_gadget, save_matrix
 from nlboson.cli import main
 
 
@@ -245,3 +245,44 @@ def test_analyze_linear_search_command(tmp_path):
     assert summary["iterations"] == 50
     assert 0 <= summary["best_tvd"] <= 1
     assert 0 <= summary["tvd_linearized"] <= 1
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["experiment", "tvd-bunching", "--n", "-1", "--modes", "3", "--k", "1"], "n=-1"),
+    (["experiment", "tvd-bunching", "--n", "3", "--modes", "5", "--k", "1", "--mode-x", "9"],
+     "mode_x=9"),
+    (["analyze", "cumulative", "--n", "-1", "--m", "3", "--units", "2"], "n=-1"),
+])
+def test_bad_photon_number_or_gate_mode_is_an_error_line(tmp_path, capsys, monkeypatch,
+                                                         argv, fragment):
+    def untouched(*args, **kwargs):
+        raise AssertionError("synthesized before validating the arguments")
+
+    monkeypatch.setattr(analysis, "synthesize_gadgets", untouched)
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+def test_non_finite_phase_is_an_error_line(tmp_path, capsys, phi):
+    out = tmp_path / "g.json"
+    assert main(["gadget", "optimize", "--k", "2", f"--phi={phi}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"phi={float(phi)}" in err
+    assert not out.exists()
+
+    cfg = tmp_path / "exp.json"
+    _write_experiment_config(cfg)
+    out = tmp_path / "nl.csv"
+    assert main(["nonlinear-distribution", "--config", str(cfg), f"--phi={phi}",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"phi={float(phi)}" in err
+    _write_experiment_config(cfg, phi=float(phi))  # the config's own NaN or Infinity
+    assert main(["nonlinear-distribution", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"phi={float(phi)}" in err
+    assert not out.exists()

@@ -24,16 +24,19 @@ from nlboson import (
     unitarity_deviation,
     verify_gadget,
 )
+from nlboson import gadget
 from nlboson.gadget import (
+    _expanded_permanent_gradients,
     _expanded_permanents,
     _matrix_from_raw,
     _objective_of_matrix,
     _penalized_objective,
     _random_raw,
+    _residual_jacobian,
     _residual_vector,
 )
 
-from .oracles import expanded_gadget_matrix, permanent_exact
+from .oracles import central_difference_jacobian, expanded_gadget_matrix, permanent_exact
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +145,62 @@ def test_penalized_objective_is_the_residual_vector_norm():
             assert value == pytest.approx(
                 float(np.sum(np.abs(res) ** 2)) + lam * shortfall**2, rel=1e-12
             )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_permanent_gradients_match_directional_differences(k):
+    rng = np.random.default_rng(63 + k)
+    u = haar_unitary(k + 1, rng)
+    n = k + 2
+    pers, grads = _expanded_permanent_gradients(u, n)
+    assert grads.shape == (n + 1, k + 1, k + 1)
+    assert np.array_equal(pers, _expanded_permanents(u, n))
+    for _ in range(3):
+        direction = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+        want = central_difference_jacobian(
+            lambda t: _expanded_permanents(u + t[0] * direction, n), [0.0]
+        )[:, 0]
+        got = np.einsum("lij,ij->l", grads, direction)
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("p_th", [0.99, 1e-3])
+@pytest.mark.parametrize("lam", [10.0, 1e4])
+def test_residual_jacobian_matches_central_differences(k, p_th, lam):
+    m = k + 1
+    rng = np.random.default_rng(64 + k)
+    for _ in range(3):
+        x = _random_raw(m, rng)
+        jac = _residual_jacobian(x, m, 0.8, p_th, lam)
+        want = central_difference_jacobian(lambda y: _residual_vector(y, m, 0.8, p_th, lam), x)
+        assert jac.shape == want.shape == (2 * k + 1, len(x))
+        assert np.abs(jac - want).max() <= 1e-6 * np.abs(want).max()
+        # the shortfall row is active exactly when the threshold is missed
+        shortfall_active = success_probability(_matrix_from_raw(x, m)) < p_th
+        assert shortfall_active == (p_th == 0.99)
+        assert np.any(jac[-1] != 0) == shortfall_active
+
+
+def test_capped_synthesis_makes_few_residual_evaluations(monkeypatch):
+    # one capped start above the k = 2 heralding ceiling runs the whole search:
+    # at most `budget` Nelder-Mead evaluations, four least-squares passes of
+    # at most `budget` each, and one for the reported objective; a 3-point
+    # Jacobian over the 9 mesh angles would add 18 per least-squares step
+    calls = {"residuals": 0, "jacobians": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(gadget, "gadget_residuals", counted("residuals", gadget_residuals))
+    monkeypatch.setattr(gadget, "_residual_jacobian", counted("jacobians", _residual_jacobian))
+    with pytest.raises(GadgetSynthesisError):
+        optimize_gadget(2, math.pi / 4, 0.99, starts=1, rng=np.random.default_rng(53), budget=10)
+    assert calls["residuals"] <= 5 * 10 + 1
+    assert calls["jacobians"] >= 4
 
 
 @pytest.mark.parametrize(
@@ -277,6 +336,13 @@ def test_synthesis_reports_infeasible_threshold():
 def test_synthesis_rejects_an_empty_search(k, name):
     with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
         optimize_gadget(k, math.pi / 2, **{name: 0})
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_synthesis_rejects_a_non_finite_phase(k, phi):
+    with pytest.raises(ValueError, match="phi must be finite"):
+        optimize_gadget(k, phi, starts=1, budget=1)
 
 
 def test_synthesis_k_range():

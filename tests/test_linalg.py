@@ -21,9 +21,18 @@ from nlboson import (
     phase_shifter,
     unitarity_deviation,
 )
-from nlboson.linalg import MAX_PERMANENTS_BYTES, _mesh_unitary, _permanents_bytes
+from nlboson.linalg import (
+    MAX_PERMANENTS_BYTES,
+    _mesh_unitary,
+    _mesh_unitary_derivatives,
+    _permanents_bytes,
+)
 
-from .oracles import mesh_unitary_product, operator_expansion_amplitude
+from .oracles import (
+    central_difference_jacobian,
+    mesh_unitary_product,
+    operator_expansion_amplitude,
+)
 
 
 def random_complex(rng, shape):
@@ -255,6 +264,23 @@ def test_mesh_matches_the_literal_element_product():
             want = mesh_unitary_product(m, *angles)
             assert got.shape == (m, m)
             assert np.abs(got - want).max() <= 1e-15
+
+
+def test_mesh_derivatives_match_the_mesh_and_central_differences():
+    rng = np.random.default_rng(73)
+    for m in range(1, 7):
+        n_pairs = m * (m - 1) // 2
+        for _ in range(3):
+            angles = _random_angles(m, rng)
+            u, du = _mesh_unitary_derivatives(m, *angles)
+            assert du.shape == (2 * n_pairs + m, m, m)
+            assert np.abs(u - _mesh_unitary(m, *angles)).max() <= 1e-15
+
+            def mesh(x):
+                return _mesh_unitary(m, x[:n_pairs], x[n_pairs : 2 * n_pairs], x[2 * n_pairs :])
+
+            want = np.moveaxis(central_difference_jacobian(mesh, np.concatenate(angles)), -1, 0)
+            assert np.abs(du - want).max() <= 1e-6 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

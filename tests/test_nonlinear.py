@@ -271,3 +271,9 @@ def test_experiment_rejects_other_gate_kinds():
     # factor vectors on photon_number_components
     with pytest.raises(TypeError):
         NonlinearExperiment(np.eye(2), np.eye(2), np.diag([1, -1, 1]), (1, 1))
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_gate_rejects_a_non_finite_phase(phi):
+    with pytest.raises(ValueError, match="phi must be finite"):
+        SingleModePhase(1, phi)
