@@ -65,20 +65,18 @@ def _global_bunching_mass(dist: Distribution, threshold: int) -> float:
     return float(dist.probs[mask].sum())
 
 
-def bunching_at_site(w, input_state, mode_x: int, threshold: int,
-                     *, unitarity_tol: float = 1e-8) -> float:
+def bunching_at_site(w, input_state, mode_x: int, threshold: int) -> float:
     """Probability of more than `threshold` photons at one mode after `w`."""
     s = as_state(input_state)
     if not 1 <= mode_x <= len(s):
         raise DimensionError(f"mode {mode_x} out of range [1, {len(s)}]")
-    dist = output_distribution(w, s, unitarity_tol=unitarity_tol)
+    dist = output_distribution(w, s)
     return _site_bunching_mass(dist, mode_x, threshold)
 
 
-def bunching_global(w, input_state, threshold: int,
-                    *, unitarity_tol: float = 1e-8) -> float:
+def bunching_global(w, input_state, threshold: int) -> float:
     """Probability that any mode holds more than `threshold` photons after `w`."""
-    dist = output_distribution(w, as_state(input_state), unitarity_tol=unitarity_tol)
+    dist = output_distribution(w, as_state(input_state))
     return _global_bunching_mass(dist, threshold)
 
 
@@ -141,6 +139,8 @@ def truncated_mass_study(n: int, m: int, n_max: int, n_unit: int,
     s = _single_photons(n, m)
     if n_unit < 1:
         raise ValueError(f"need at least one unitary, got n_unit={n_unit}")
+    if n_max < 0:
+        raise ValueError(f"occupation cap must be >= 0, got n_max={n_max}")
     samples = np.empty(int(n_unit))
     for i in range(int(n_unit)):
         u = haar_unitary(m, rng)
@@ -301,6 +301,8 @@ def tvd_bunching_experiment(
         raise DimensionError(f"ancilla counts must be >= 1, got k={too_low[0]}")
     if int(trials) < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
+    if int(workers) < 1:
+        raise ValueError(f"need at least one worker, got workers={workers}")
     if mode_x is not None and not all(1 <= mode_x <= int(m) for m in m_list):
         smallest = min(int(m) for m in m_list)
         raise DimensionError(f"gate mode mode_x={mode_x} out of range [1, {smallest}]")

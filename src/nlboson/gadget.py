@@ -81,7 +81,7 @@ class GadgetSpec:
     residual: float
 
     def __post_init__(self):
-        u = np.asarray(self.u_eff, dtype=complex)
+        u = np.array(self.u_eff, dtype=complex)
         if u.shape != (self.k + 1, self.k + 1):
             raise DimensionError(
                 f"k={self.k} gadget needs a {self.k + 1}x{self.k + 1} matrix, got {u.shape}"
@@ -463,7 +463,7 @@ def reference_gadget(k: int) -> GadgetSpec:
     if dev > tol:
         raise NotUnitaryError(dev, tol, f"reference gadget k={k}")
     phi = math.pi / 2
-    return GadgetSpec(k, phi, u.copy(), success_probability(u), _objective_of_matrix(u, phi))
+    return GadgetSpec(k, phi, u, success_probability(u), _objective_of_matrix(u, phi))
 
 
 def verify_gadget(spec: GadgetSpec, tol: float = 1e-6) -> dict:
@@ -513,6 +513,8 @@ def gadget_from_json(obj: dict) -> GadgetSpec:
         )
     except KeyError as exc:
         raise ValueError(f"malformed gadget JSON: missing {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed gadget JSON: {exc}") from None
 
 
 def save_gadget(path, spec: GadgetSpec) -> None:

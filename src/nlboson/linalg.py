@@ -251,6 +251,11 @@ def unitarity_deviation(U) -> float:
 
 
 def require_unitary(U, tol: float = 1e-8, context: str = "") -> np.ndarray:
+    """U as a complex array, or NotUnitaryError if max |U†U - I| exceeds `tol`.
+
+    The default 1e-8 is the library's one unitarity gate: every linear network
+    and every W -> gate -> V sandwich is checked here, at that value.
+    """
     u = _as_square(U)
     dev = unitarity_deviation(u)
     if dev > tol:
@@ -377,6 +382,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from None
+    if not isinstance(data, list) or not all(
+            isinstance(e, list) and len(e) == 2 and {type(x) for x in e} <= {int, float}
+            for e in data):
+        raise ValueError("malformed matrix JSON: data must be a list of [re, im] number pairs")
     if len(data) != rows * cols:
         raise ValueError(
             f"matrix JSON declares {rows}x{cols} but carries {len(data)} entries"

@@ -75,13 +75,13 @@ class Distribution:
         return float(self.probs.sum())
 
 
-def amplitude(U, input_state, output_state, *, unitarity_tol: float = 1e-8) -> complex:
+def amplitude(U, input_state, output_state) -> complex:
     """Transition amplitude through the mode unitary U.
 
     per(U_{S,T}) / sqrt(prod s_i! * prod t_j!), with rows of U selected by the
     input occupations and columns by the output occupations.
     """
-    u = require_unitary(U, unitarity_tol, "amplitude")
+    u = require_unitary(U, context="amplitude")
     s = as_state(input_state)
     t = as_state(output_state)
     sub = matrix_from_states(u, s, t)
@@ -130,9 +130,9 @@ def _unit_sum_distribution(space: StateSpace, amps, *unitaries) -> Distribution:
     return Distribution(space, probs)
 
 
-def output_distribution(U, input_state, *, unitarity_tol: float = 1e-8) -> Distribution:
+def output_distribution(U, input_state) -> Distribution:
     """|amplitude|^2 over the full output space; sums to one for a unitary U."""
-    u = require_unitary(U, unitarity_tol, "output_distribution")
+    u = require_unitary(U, context="output_distribution")
     s = as_state(input_state)
     if len(s) != u.shape[0]:
         raise DimensionError(f"state has {len(s)} modes, matrix has {u.shape[0]}")
@@ -148,25 +148,23 @@ def _inverse_sample(probs: np.ndarray, count: int, rng: np.random.Generator) -> 
     return np.minimum(idx, len(probs) - 1)
 
 
-def sample_exact(U, input_state, count: int, rng: np.random.Generator,
-                 *, unitarity_tol: float = 1e-8) -> list[FockState]:
+def sample_exact(U, input_state, count: int, rng: np.random.Generator) -> list[FockState]:
     """i.i.d. draws from the exact output distribution (inversion sampling)."""
     s = as_state(input_state)
     _guard_space(len(s), photon_count(s), "sample_exact")
-    dist = output_distribution(U, s, unitarity_tol=unitarity_tol)
+    dist = output_distribution(U, s)
     idx = _inverse_sample(dist.probs, int(count), rng)
     return list(map(tuple, dist.space.occupations[idx].tolist()))
 
 
-def verify_composition(W, V, input_state, output_state,
-                       *, unitarity_tol: float = 1e-8) -> float:
+def verify_composition(W, V, input_state, output_state) -> float:
     """Residual of the permanent composition identity for 'W then V'.
 
     |per((W@V)_{S,T}) - sum_R per(W_{S,R}) per(V_{R,T}) / prod r_i!|, which is
     zero (to rounding) under the package's composition convention.
     """
-    w = require_unitary(W, unitarity_tol, "verify_composition: first factor")
-    v = require_unitary(V, unitarity_tol, "verify_composition: second factor")
+    w = require_unitary(W, context="verify_composition: first factor")
+    v = require_unitary(V, context="verify_composition: second factor")
     if w.shape != v.shape:
         raise DimensionError(f"factor shapes differ: {w.shape} vs {v.shape}")
     s = as_state(input_state)

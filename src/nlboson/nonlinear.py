@@ -24,6 +24,10 @@ batched linear passes), the Fourier form (:func:`phase_gate_amplitude`),
 and the split form, which separates the linearizable part (the same circuit
 with a plain phase shifter in place of the gate) from bunching corrections
 with more than one photon at the gate site (:func:`phase_gate_amplitude_split`).
+
+Every entry to the sandwich, :func:`nlboson.simulate.build_setup` included,
+checks it once with ``_checked_sandwich``: W and V m x m and unitary, the gate
+mode in 1..m.  A :class:`NonlinearExperiment` is a checked sandwich.
 """
 
 from __future__ import annotations
@@ -77,9 +81,33 @@ class SingleModePhase:
         return complex(math.cos(a), math.sin(a))
 
 
+def _checked_sandwich(w, v, mode_x: int, input_state) -> tuple[np.ndarray, np.ndarray, FockState]:
+    """(W, V, input state) of a W -> (mode x) -> V sandwich, or the error that refuses it."""
+    s = as_state(input_state)
+    m = len(s)
+    w = np.asarray(w, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    if w.shape != (m, m) or v.shape != (m, m):
+        raise DimensionError(
+            f"networks must be {m}x{m} for a {m}-mode input, got {w.shape} and {v.shape}"
+        )
+    if not 1 <= mode_x <= m:
+        raise DimensionError(f"gate mode {mode_x} out of range [1, {m}]")
+    return require_unitary(w, context="W"), require_unitary(v, context="V"), s
+
+
+def _checked_output(output_state, m: int, n: int) -> FockState:
+    t = as_state(output_state)
+    if len(t) != m or photon_count(t) != n:
+        raise DimensionError(
+            f"output state {t} does not live in the {n}-photon {m}-mode space"
+        )
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class NonlinearExperiment:
-    """Input state plus the W -> gate -> V sandwich."""
+    """Input state plus the W -> gate -> V sandwich, checked on construction."""
 
     w: np.ndarray
     v: np.ndarray
@@ -91,15 +119,7 @@ class NonlinearExperiment:
             raise TypeError(
                 f"gate must be a SingleModePhase, got {type(self.gate).__name__}"
             )
-        w = np.asarray(self.w, dtype=complex)
-        v = np.asarray(self.v, dtype=complex)
-        s = as_state(self.input_state)
-        if w.shape != v.shape or w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DimensionError(f"W and V must be equal square matrices, got {w.shape}, {v.shape}")
-        if len(s) != w.shape[0]:
-            raise DimensionError(f"input has {len(s)} modes, networks have {w.shape[0]}")
-        if not 1 <= self.gate.mode <= len(s):
-            raise DimensionError(f"gate mode {self.gate.mode} out of range [1, {len(s)}]")
+        w, v, s = _checked_sandwich(self.w, self.v, self.gate.mode, self.input_state)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "input_state", s)
@@ -117,8 +137,7 @@ class NonlinearExperiment:
         return enumerate_states(self.m, self.n)
 
 
-def nonlinear_amplitude(exp: NonlinearExperiment, output_state,
-                        *, unitarity_tol: float = 1e-8) -> complex:
+def nonlinear_amplitude(exp: NonlinearExperiment, output_state) -> complex:
     """Path-sum transition amplitude of the three-step evolution.
 
     sum_R <R|W|S> g(r_x) <T|V|R> over the intermediate basis, with
@@ -126,13 +145,7 @@ def nonlinear_amplitude(exp: NonlinearExperiment, output_state,
     since per(V_{R,T}) = per(V^T_{T,R}), so both legs are one batched pass
     each over the intermediate space.
     """
-    require_unitary(exp.w, unitarity_tol, "nonlinear_amplitude: W")
-    require_unitary(exp.v, unitarity_tol, "nonlinear_amplitude: V")
-    t = as_state(output_state)
-    if len(t) != exp.m or photon_count(t) != exp.n:
-        raise DimensionError(
-            f"output state {t} does not live in the {exp.n}-photon {exp.m}-mode space"
-        )
+    t = _checked_output(output_state, exp.m, exp.n)
     space = exp.space()
     first = _amplitudes_to_all(exp.w, exp.input_state, space)
     second = _amplitudes_to_all(exp.v.T, t, space)
@@ -141,8 +154,7 @@ def nonlinear_amplitude(exp: NonlinearExperiment, output_state,
     return complex(np.sum(first * factors * second))
 
 
-def phase_gate_amplitude(w, mode_x: int, phi: float, v, input_state, output_state,
-                         *, unitarity_tol: float = 1e-8) -> complex:
+def phase_gate_amplitude(w, mode_x: int, phi: float, v, input_state, output_state) -> complex:
     """Single amplitude for exp(-i n_x^2 phi) from its photon-number components.
 
     n+1 scalar permanents of (W F_theta V)_{S,T} at theta_q = 2 pi q/(n+1),
@@ -150,17 +162,11 @@ def phase_gate_amplitude(w, mode_x: int, phi: float, v, input_state, output_stat
     no code with the path sum of :func:`nonlinear_amplitude`.
     """
     gate = SingleModePhase(mode_x, phi)
-    exp = NonlinearExperiment(w, v, gate, as_state(input_state))
-    w_u = require_unitary(exp.w, unitarity_tol, "phase_gate_amplitude: W")
-    v_u = require_unitary(exp.v, unitarity_tol, "phase_gate_amplitude: V")
-    s, n = exp.input_state, exp.n
-    t = as_state(output_state)
-    if len(t) != exp.m or photon_count(t) != n:
-        raise DimensionError(
-            f"output state {t} does not live in the {n}-photon {exp.m}-mode space"
-        )
+    w, v, s = _checked_sandwich(w, v, mode_x, input_state)
+    n = photon_count(s)
+    t = _checked_output(output_state, len(s), n)
     passes = [
-        permanent(matrix_from_states(linearized_evolution(w_u, mode_x, theta, v_u), s, t))
+        permanent(matrix_from_states(linearized_evolution(w, mode_x, theta, v), s, t))
         for theta in _fourier_phases(n)
     ]
     norm = math.sqrt(normalization_product(s) * normalization_product(t))
@@ -195,8 +201,7 @@ def _inverse_dft(passes: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / size) @ passes / size
 
 
-def photon_number_components(w, v, mode_x: int, input_state,
-                             *, unitarity_tol: float = 1e-8) -> tuple[StateSpace, np.ndarray]:
+def photon_number_components(w, v, mode_x: int, input_state) -> tuple[StateSpace, np.ndarray]:
     """Photon-number components A_j(T) of the sandwich W -> (mode x) -> V.
 
     Returns ``(space, A)`` with A of shape (n+1, len(space)): A[j, i] sums the
@@ -209,72 +214,61 @@ def photon_number_components(w, v, mode_x: int, input_state,
     theta_q = 2 pi q/(n+1), and an inverse DFT over q; every pass reads the
     labels and norms of the one shared space.
     """
-    w_u = require_unitary(w, unitarity_tol, "photon_number_components: W")
-    v_u = require_unitary(v, unitarity_tol, "photon_number_components: V")
-    s = as_state(input_state)
+    w, v, s = _checked_sandwich(w, v, mode_x, input_state)
+    return _components(w, v, mode_x, s)
+
+
+def _components(w: np.ndarray, v: np.ndarray, mode_x: int,
+                s: FockState) -> tuple[StateSpace, np.ndarray]:
+    """:func:`photon_number_components` of a checked sandwich."""
     m, n = len(s), photon_count(s)
-    if w_u.shape != (m, m) or v_u.shape != (m, m):
-        raise DimensionError(
-            f"networks must be {m}x{m} for a {m}-mode input, got {w_u.shape} and {v_u.shape}"
-        )
-    if not 1 <= mode_x <= m:
-        raise DimensionError(f"gate mode {mode_x} out of range [1, {m}]")
     _guard_space(m, n, "photon_number_components")
     space = enumerate_states(m, n)
     passes = np.array([
-        _amplitudes_to_all(linearized_evolution(w_u, mode_x, theta, v_u), s, space)
+        _amplitudes_to_all(linearized_evolution(w, mode_x, theta, v), s, space)
         for theta in _fourier_phases(n)
     ])
     return space, _inverse_dft(passes)
 
 
-def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state, output_state,
-                               *, unitarity_tol: float = 1e-8) -> complex:
+def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state,
+                               output_state) -> complex:
     """Split form: linearized term plus bunching corrections.
 
     per(Ubar_{S,T})/sqrt(prod s! prod t!) plus, for every intermediate state
     with r_x > 1, the path term weighted by exp(-i r_x^2 phi) - exp(-i r_x phi).
     Equal to :func:`phase_gate_amplitude` to rounding.
     """
-    w_u = require_unitary(w, unitarity_tol, "phase_gate_amplitude_split: W")
-    v_u = require_unitary(v, unitarity_tol, "phase_gate_amplitude_split: V")
-    s = as_state(input_state)
-    t = as_state(output_state)
-    n = photon_count(s)
-    if photon_count(t) != n:
-        raise DimensionError("input and output photon numbers differ")
-    ubar = linearized_evolution(w_u, mode_x, phi, v_u)
-    norm_st = math.sqrt(normalization_product(s) * normalization_product(t))
-    total = permanent(matrix_from_states(ubar, s, t)) / norm_st
-    _guard_space(len(s), n, "phase_gate_amplitude_split")
-    space = enumerate_states(len(s), n)
+    w, v, s = _checked_sandwich(w, v, mode_x, input_state)
+    m, n = len(s), photon_count(s)
+    t = _checked_output(output_state, m, n)
+    ubar = linearized_evolution(w, mode_x, phi, v)
     norm_s = math.sqrt(normalization_product(s))
     norm_t = math.sqrt(normalization_product(t))
-    for r in space:
+    total = permanent(matrix_from_states(ubar, s, t)) / (norm_s * norm_t)
+    _guard_space(m, n, "phase_gate_amplitude_split")
+    for r in enumerate_states(m, n):
         rx = r[mode_x - 1]
         if rx <= 1:
             continue
         phase_nl = complex(math.cos(rx * rx * phi), -math.sin(rx * rx * phi))
         phase_lin = complex(math.cos(rx * phi), -math.sin(rx * phi))
         total += (
-            permanent(matrix_from_states(w_u, s, r))
+            permanent(matrix_from_states(w, s, r))
             * (phase_nl - phase_lin)
-            * permanent(matrix_from_states(v_u, r, t))
+            * permanent(matrix_from_states(v, r, t))
             / (norm_s * normalization_product(r) * norm_t)
         )
     return complex(total)
 
 
-def nonlinear_distribution(exp: NonlinearExperiment,
-                           *, unitarity_tol: float = 1e-8) -> Distribution:
+def nonlinear_distribution(exp: NonlinearExperiment) -> Distribution:
     """Full output distribution of the three-step evolution.
 
     The gate's factors on the photon-number components (n+1 linear passes).
     The number-preserving gate keeps the evolution unitary, so the
     probabilities sum to one.
     """
-    space, components = photon_number_components(
-        exp.w, exp.v, exp.gate.mode, exp.input_state, unitarity_tol=unitarity_tol
-    )
+    space, components = _components(exp.w, exp.v, exp.gate.mode, exp.input_state)
     return _unit_sum_distribution(space, exp.gate.number_factors(exp.n) @ components,
                                   exp.w, exp.v)

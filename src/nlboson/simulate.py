@@ -10,6 +10,9 @@ bunching corrections when k is smaller.
 Rejection sampling draws from the enlarged system, as the experiment does;
 the post-selected distribution is computed without it, as a single-mode
 diagonal layer on the photon-number components of :mod:`nlboson.nonlinear`.
+
+:func:`build_setup` checks the sandwich as every entry of :mod:`nlboson.nonlinear`
+does, so a non-unitary W or V is refused before any sampling.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .errors import DimensionError, PostselectionError, SamplingBudgetError
 from .fock import (
     FockState,
     StateSpace,
-    as_state,
     concat_states,
     enumerate_states,
     photon_count,
@@ -30,7 +32,7 @@ from .fock import (
 from .gadget import GadgetSpec, heralded_factors
 from .linalg import direct_sum, unitarity_deviation
 from .linear import Distribution, _amplitudes_to_all, _guard_space, _inverse_sample
-from .nonlinear import photon_number_components
+from .nonlinear import _checked_sandwich, photon_number_components
 
 __all__ = [
     "SimulationSetup",
@@ -73,19 +75,11 @@ def build_setup(w, v, mode_x: int, input_state, gadget: GadgetSpec) -> Simulatio
     modes m+1..m+k in ascending order.  The enlarged input appends one photon
     per ancilla mode.
     """
-    w = np.asarray(w, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    s = as_state(input_state)
-    m = len(s)
     k = gadget.k
     if k < 1:
         raise DimensionError("simulation needs at least one ancilla photon")
-    if w.shape != (m, m) or v.shape != (m, m):
-        raise DimensionError(
-            f"networks must be {m}x{m} for a {m}-mode input, got {w.shape} and {v.shape}"
-        )
-    if not 1 <= mode_x <= m:
-        raise DimensionError(f"gate mode {mode_x} out of range [1, {m}]")
+    w, v, s = _checked_sandwich(w, v, mode_x, input_state)
+    m = len(s)
     ports = [mode_x - 1] + list(range(m, m + k))
     embedded = np.eye(m + k, dtype=complex)
     embedded[np.ix_(ports, ports)] = gadget.u_eff

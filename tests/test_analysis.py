@@ -189,6 +189,11 @@ def test_truncation_requires_a_unit():
         truncated_mass_study(2, 4, 1, 0, np.random.default_rng(88))
 
 
+def test_truncation_refuses_a_negative_cap():
+    with pytest.raises(ValueError, match="n_max=-1"):
+        truncated_mass_study(2, 4, -1, 2, np.random.default_rng(89))
+
+
 def test_truncation_requires_enough_modes():
     with pytest.raises(DimensionError):
         truncated_mass_study(5, 3, 2, 2, np.random.default_rng(87))
@@ -332,6 +337,8 @@ def test_single_photons_reject_a_negative_photon_number():
     ({"reference": "path"}, ValueError, "'path'"),
     ({"mode_x": 9}, DimensionError, "mode_x=9 out of range \\[1, 5\\]"),
     ({"mode_x": 0}, DimensionError, "mode_x=0 out of range \\[1, 5\\]"),
+    ({"workers": 0}, ValueError, "workers=0"),
+    ({"workers": -2}, ValueError, "workers=-2"),
 ])
 def test_experiment_rejects_bad_arguments_first(kwargs, error, message, monkeypatch):
     def untouched(*args, **kwargs):

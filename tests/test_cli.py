@@ -286,3 +286,61 @@ def test_non_finite_phase_is_an_error_line(tmp_path, capsys, phi):
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"phi={float(phi)}" in err
     assert not out.exists()
+
+
+def _assert_error_line(capsys, code, fragment):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", [[5], [[1, "x"]]])
+def test_malformed_matrix_entry_is_an_error_line(tmp_path, capsys, data):
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"rows": 1, "cols": 1, "data": data}))
+    out = tmp_path / "per.json"
+    code = main(["permanent", "--matrix", str(mat), "--out", str(out)])
+    _assert_error_line(capsys, code, "malformed matrix JSON")
+    assert not out.exists()
+
+    gadget = tmp_path / "g.json"
+    gadget.write_text(json.dumps({"k": 0, "phi": 0.0, "success_prob": 1.0, "residual": 0.0,
+                                  "u_eff": {"rows": 1, "cols": 1, "data": data}}))
+    code = main(["gadget", "verify", "--gadget", str(gadget)])
+    _assert_error_line(capsys, code, "malformed matrix JSON")
+
+
+def test_gadget_file_holding_an_array_is_an_error_line(tmp_path, capsys):
+    gadget = tmp_path / "list.json"
+    gadget.write_text("[1, 2]\n")
+    _assert_error_line(capsys, main(["gadget", "verify", "--gadget", str(gadget)]),
+                       "malformed gadget JSON")
+    cfg = tmp_path / "exp.json"
+    _write_experiment_config(cfg)
+    out = tmp_path / "samples.csv"
+    code = main(["simulate", "--config", str(cfg), "--gadget", str(gadget), "--samples", "10",
+                 "--out", str(out)])
+    _assert_error_line(capsys, code, "malformed gadget JSON")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_experiment_without_workers_is_an_error_line(tmp_path, capsys, monkeypatch, workers):
+    def untouched(*args, **kwargs):
+        raise AssertionError("synthesized before validating the arguments")
+
+    monkeypatch.setattr(analysis, "synthesize_gadgets", untouched)
+    out = tmp_path / "rec.csv"
+    code = main(["experiment", "tvd-bunching", "--n", "2", "--modes", "3", "--k", "1",
+                 "--trials", "1", "--workers", workers, "--out", str(out)])
+    _assert_error_line(capsys, code, f"workers={workers}")
+    assert not out.exists()
+
+
+def test_analyze_negative_occupation_cap_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "trunc.csv"
+    code = main(["analyze", "truncation", "--n", "2", "--m", "4", "--n-max", "-1",
+                 "--units", "2", "--out", str(out)])
+    _assert_error_line(capsys, code, "n_max=-1")
+    assert not out.exists()

@@ -421,3 +421,20 @@ def test_gadget_json_round_trip(tmp_path, gadget_k2):
     assert set(obj) == {"k", "phi", "u_eff", "success_prob", "residual"}
     with pytest.raises(ValueError):
         gadget_from_json({"k": 2})
+
+
+@pytest.mark.parametrize("obj", [[1, 2], "gadget", None, {"k": [2], "phi": 0.0, "u_eff": {},
+                                                          "success_prob": 1.0, "residual": 0.0}])
+def test_gadget_json_rejects_a_value_of_the_wrong_type(obj):
+    with pytest.raises(ValueError, match="malformed"):
+        gadget_from_json(obj)
+
+
+def test_gadget_spec_leaves_the_callers_matrix_alone():
+    u = np.eye(2, dtype=complex)
+    spec = GadgetSpec(1, 0.0, u, 1.0, 0.0)
+    assert u.flags.writeable
+    assert not spec.u_eff.flags.writeable
+    assert not np.shares_memory(spec.u_eff, u)
+    u[0, 0] = 5.0
+    assert spec.u_eff[0, 0] == 1.0

@@ -318,3 +318,10 @@ def test_matrix_json_rejects_malformed():
         matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "data": []})
+
+
+@pytest.mark.parametrize("data", [[5], [[1, "x"]], [[1]], [[1, 2, 3]], [None], [[True, 0]],
+                                  "ab", 5])
+def test_matrix_json_rejects_an_entry_that_is_not_a_number_pair(data):
+    with pytest.raises(ValueError, match="malformed matrix JSON"):
+        matrix_from_json({"rows": 1, "cols": 1, "data": data})

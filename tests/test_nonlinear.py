@@ -6,8 +6,10 @@ import pytest
 from nlboson import (
     DimensionError,
     NonlinearExperiment,
+    NotUnitaryError,
     SingleModePhase,
     amplitude,
+    build_setup,
     enumerate_states,
     haar_unitary,
     linearized_evolution,
@@ -18,6 +20,7 @@ from nlboson import (
     phase_gate_amplitude_split,
     phase_shifter,
     photon_number_components,
+    reference_gadget,
     tvd,
     unitarity_deviation,
 )
@@ -277,3 +280,49 @@ def test_experiment_rejects_other_gate_kinds():
 def test_gate_rejects_a_non_finite_phase(phi):
     with pytest.raises(ValueError, match="phi must be finite"):
         SingleModePhase(1, phi)
+
+
+# ---------------------------------------------------------------------------
+# one input contract for every entry to the sandwich
+# ---------------------------------------------------------------------------
+
+def _experiment(w, v, x, s):
+    return NonlinearExperiment(w, v, SingleModePhase(x, 0.3), s)
+
+
+SANDWICH_ENTRIES = {
+    "NonlinearExperiment": _experiment,
+    "nonlinear_amplitude": lambda w, v, x, s: nonlinear_amplitude(
+        _experiment(w, v, x, s), (0,) * (len(s) - 2) + (1, 1)),
+    "phase_gate_amplitude": lambda w, v, x, s: phase_gate_amplitude(
+        w, x, 0.3, v, s, (0,) * (len(s) - 2) + (1, 1)),
+    "phase_gate_amplitude_split": lambda w, v, x, s: phase_gate_amplitude_split(
+        w, x, 0.3, v, s, (0,) * (len(s) - 2) + (1, 1)),
+    "photon_number_components": photon_number_components,
+    "nonlinear_distribution": lambda w, v, x, s: nonlinear_distribution(
+        _experiment(w, v, x, s)),
+    "build_setup": lambda w, v, x, s: build_setup(w, v, x, s, reference_gadget(2)),
+}
+
+
+def _bad_sandwiches():
+    w, v = haar_pair(3, 57)
+    s = (1, 1, 0)
+    return {
+        "gate mode 0": ((w, v, 0, s), DimensionError),
+        "gate mode m+1": ((w, v, 4, s), DimensionError),
+        "W/V shape mismatch": ((w, haar_pair(4, 58)[0], 1, s), DimensionError),
+        "input of the wrong length": ((w, v, 1, (1, 1, 0, 0)), DimensionError),
+        "2W": ((2 * w, v, 1, s), NotUnitaryError),
+        "2V": ((w, 2 * v, 1, s), NotUnitaryError),
+        "W off by 1e-3": (((1 + 1e-3) * w, v, 1, s), NotUnitaryError),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_sandwiches()))
+@pytest.mark.parametrize("entry", list(SANDWICH_ENTRIES))
+def test_every_entry_refuses_a_bad_sandwich_alike(entry, case):
+    args, expected = _bad_sandwiches()[case]
+    with pytest.raises((DimensionError, NotUnitaryError)) as err:
+        SANDWICH_ENTRIES[entry](*args)
+    assert err.type is expected

@@ -15,6 +15,7 @@ from nlboson import (
     nonlinear_distribution,
     output_distribution,
     postselected_distribution,
+    reference_gadget,
     run_rejection_sampling,
     tvd,
     unitarity_deviation,
@@ -66,6 +67,15 @@ def test_setup_validation():
         build_setup(np.eye(3), np.eye(3), 4, (1, 0, 0), transparent_gadget(2))
     with pytest.raises(DimensionError):
         build_setup(np.eye(3), np.eye(2), 1, (1, 0, 0), transparent_gadget(2))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_setup_accepts_the_rounded_reference_gadgets(k):
+    # the enlarged unitary's slack covers a rounded gadget; W and V get none
+    rng = np.random.default_rng(63)
+    w, v = haar_unitary(3, rng), haar_unitary(3, rng)
+    setup = build_setup(w, v, 2, (1, 1, 0), reference_gadget(k))
+    assert setup.k == k
 
 
 # ---------------------------------------------------------------------------
