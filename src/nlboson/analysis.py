@@ -15,7 +15,13 @@ import numpy as np
 
 from .errors import DimensionError
 from .fock import FockState, as_state
-from .gadget import DEFAULT_SUCCESS_THRESHOLDS, MAX_ANCILLAS, GadgetSpec, optimize_gadget
+from .gadget import (
+    DEFAULT_SUCCESS_THRESHOLDS,
+    MAX_ANCILLAS,
+    GadgetSpec,
+    _require_usable_gadget,
+    optimize_gadget,
+)
 from .linalg import haar_unitary
 from .linear import Distribution, _unit_sum_distribution, output_distribution
 from .nonlinear import (
@@ -284,6 +290,9 @@ def tvd_bunching_experiment(
     exp(-i n^2 phi) itself ('pathsum').  Each trial computes the
     photon-number components of (W, V) once; the reference and every k are
     factor vectors applied to them.
+
+    Each gadget it uses must sit under its own ancilla count in `gadgets` and
+    pass the gadget gate, :data:`nlboson.gadget.MAX_GADGET_DEVIATION`.
     """
     n = int(n)
     if n < 0:
@@ -312,6 +321,12 @@ def tvd_bunching_experiment(
     missing = needed - set(gadgets)
     if missing:
         raise ValueError(f"gadget map is missing ancilla counts {sorted(missing)}")
+    for k in sorted(needed):
+        if gadgets[k].k != k:
+            raise DimensionError(
+                f"gadget map entry k={k} holds a k={gadgets[k].k} gadget"
+            )
+        _require_usable_gadget(gadgets[k].u_eff, f"gadget k={k}")
     tasks = [
         (n, int(m), k_list, float(phi), trial, int(seed), mode_x, dict(gadgets), reference)
         for m in m_list

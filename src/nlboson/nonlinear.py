@@ -25,7 +25,7 @@ and the split form, which separates the linearizable part (the same circuit
 with a plain phase shifter in place of the gate) from bunching corrections
 with more than one photon at the gate site (:func:`phase_gate_amplitude_split`).
 
-Every entry to the sandwich, :func:`nlboson.simulate.build_setup` included,
+Every entry to the sandwich, :class:`nlboson.simulate.SimulationSetup` included,
 checks it once with ``_checked_sandwich``: W and V m x m and unitary, the gate
 mode in 1..m.  A :class:`NonlinearExperiment` is a checked sandwich.
 """

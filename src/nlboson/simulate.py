@@ -11,8 +11,11 @@ Rejection sampling draws from the enlarged system, as the experiment does;
 the post-selected distribution is computed without it, as a single-mode
 diagonal layer on the photon-number components of :mod:`nlboson.nonlinear`.
 
-:func:`build_setup` checks the sandwich as every entry of :mod:`nlboson.nonlinear`
-does, so a non-unitary W or V is refused before any sampling.
+A :class:`SimulationSetup` checks itself when it is built: the sandwich as
+every entry of :mod:`nlboson.nonlinear` does, and the gadget against the one
+gadget gate, :data:`nlboson.gadget.MAX_GADGET_DEVIATION`.  A non-unitary W, V
+or gadget is refused before any sampling, and the enlarged system is derived
+from the checked parts rather than stored beside them.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from .fock import (
     enumerate_states,
     photon_count,
 )
-from .gadget import GadgetSpec, heralded_factors
-from .linalg import direct_sum, unitarity_deviation
+from .gadget import GadgetSpec, _require_usable_gadget, heralded_factors
+from .linalg import direct_sum
 from .linear import Distribution, _amplitudes_to_all, _guard_space, _inverse_sample
-from .nonlinear import _checked_sandwich, photon_number_components
+from .nonlinear import _checked_sandwich, _components
 
 __all__ = [
     "SimulationSetup",
@@ -45,15 +48,32 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SimulationSetup:
-    """The enlarged linear system standing in for one non-linear experiment."""
+    """The enlarged linear system standing in for one non-linear experiment.
+
+    Checked on construction: the W -> (mode x) -> V sandwich as every entry of
+    :mod:`nlboson.nonlinear` checks it, at least one ancilla, and the gadget
+    gate of :mod:`nlboson.gadget`.  The enlarged unitary and input are derived
+    from the five fields, so they cannot disagree with them.
+
+    Gadget port 1 attaches to mode `mode_x` (1-based); ancilla ports attach to
+    modes m+1..m+k in ascending order.
+    """
 
     w: np.ndarray
     v: np.ndarray
     mode_x: int
     input_state: FockState
     gadget: GadgetSpec
-    enlarged_unitary: np.ndarray
-    enlarged_input: FockState
+
+    def __post_init__(self):
+        if self.gadget.k < 1:
+            raise DimensionError("simulation needs at least one ancilla photon")
+        w, v, s = _checked_sandwich(self.w, self.v, self.mode_x, self.input_state)
+        _require_usable_gadget(self.gadget.u_eff, f"gadget k={self.gadget.k}")
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "mode_x", int(self.mode_x))
+        object.__setattr__(self, "input_state", s)
 
     @property
     def m(self) -> int:
@@ -67,42 +87,30 @@ class SimulationSetup:
     def k(self) -> int:
         return self.gadget.k
 
+    @property
+    def enlarged_unitary(self) -> np.ndarray:
+        """(W + id on ancillas), the embedded gadget, then (V + id)."""
+        m, k = self.m, self.k
+        ports = [self.mode_x - 1] + list(range(m, m + k))
+        embedded = np.eye(m + k, dtype=complex)
+        embedded[np.ix_(ports, ports)] = self.gadget.u_eff
+        eye_k = np.eye(k, dtype=complex)
+        return direct_sum(self.w, eye_k) @ embedded @ direct_sum(self.v, eye_k)
+
+    @property
+    def enlarged_input(self) -> FockState:
+        """The input state with one photon appended per ancilla mode."""
+        return concat_states(self.input_state, (1,) * self.k)
+
 
 def build_setup(w, v, mode_x: int, input_state, gadget: GadgetSpec) -> SimulationSetup:
-    """Compose (W + id on ancillas), the embedded gadget, then (V + id).
+    """The checked :class:`SimulationSetup` of one heralded simulation.
 
-    Gadget port 1 attaches to mode `mode_x` (1-based); ancilla ports attach to
-    modes m+1..m+k in ascending order.  The enlarged input appends one photon
-    per ancilla mode.
+    Raises DimensionError for mismatched shapes, an out-of-range gate mode or
+    a gadget without ancillas, and NotUnitaryError for a non-unitary W or V
+    or a gadget beyond :data:`nlboson.gadget.MAX_GADGET_DEVIATION`.
     """
-    k = gadget.k
-    if k < 1:
-        raise DimensionError("simulation needs at least one ancilla photon")
-    w, v, s = _checked_sandwich(w, v, mode_x, input_state)
-    m = len(s)
-    ports = [mode_x - 1] + list(range(m, m + k))
-    embedded = np.eye(m + k, dtype=complex)
-    embedded[np.ix_(ports, ports)] = gadget.u_eff
-    eye_k = np.eye(k, dtype=complex)
-    enlarged = direct_sum(w, eye_k) @ embedded @ direct_sum(v, eye_k)
-    # exact inputs give ~1e-15; rounded bundled gadgets pass through their own slack
-    parts_dev = max(unitarity_deviation(w), unitarity_deviation(v),
-                    unitarity_deviation(gadget.u_eff))
-    tol = max(1e-10, 10 * parts_dev)
-    dev = unitarity_deviation(enlarged)
-    if dev > tol:
-        raise DimensionError(
-            f"enlarged unitary deviates from unitarity by {dev:.2e} (tolerance {tol:.1e})"
-        )
-    return SimulationSetup(
-        w=w,
-        v=v,
-        mode_x=int(mode_x),
-        input_state=s,
-        gadget=gadget,
-        enlarged_unitary=enlarged,
-        enlarged_input=concat_states(s, (1,) * k),
-    )
+    return SimulationSetup(w, v, mode_x, input_state, gadget)
 
 
 def postselected_distribution(setup: SimulationSetup) -> tuple[Distribution, float]:
@@ -118,9 +126,7 @@ def postselected_distribution(setup: SimulationSetup) -> tuple[Distribution, flo
     materializing the enlarged system; the kept mass is the sum of the
     squared moduli.
     """
-    space, components = photon_number_components(
-        setup.w, setup.v, setup.mode_x, setup.input_state
-    )
+    space, components = _components(setup.w, setup.v, setup.mode_x, setup.input_state)
     return _heralded_distribution(space, components, setup.gadget.u_eff)
 
 

@@ -5,7 +5,9 @@ import pytest
 
 from nlboson import (
     DimensionError,
+    GadgetSpec,
     NonlinearExperiment,
+    NotUnitaryError,
     SingleModePhase,
     amplitude_metrics,
     bunching_at_site,
@@ -16,6 +18,7 @@ from nlboson import (
     haar_unitary,
     output_distribution,
     random_unitary_search,
+    reference_gadget,
     sorted_cumulative,
     summarize_records,
     truncated_mass_study,
@@ -363,6 +366,32 @@ def test_experiment_missing_gadget_detected(gadget_k1):
         tvd_bunching_experiment(
             2, [3], [1], math.pi / 2, trials=1, seed=1, gadgets={1: gadget_k1}
         )
+
+
+def _refuses_before_drawing(monkeypatch, error, message, **kwargs):
+    def untouched(*args, **kwargs):
+        raise AssertionError("drew a trial before checking the gadget map")
+
+    monkeypatch.setattr(analysis, "haar_unitary", untouched)
+    with pytest.raises(error, match=message):
+        tvd_bunching_experiment(2, [3], [1, 2], math.pi / 2, trials=1, seed=1, **kwargs)
+
+
+def test_experiment_refuses_a_gadget_filed_under_another_k(gadget_k1, monkeypatch):
+    _refuses_before_drawing(monkeypatch, DimensionError,
+                            r"gadget map entry k=2 holds a k=3 gadget",
+                            gadgets={1: gadget_k1, 2: reference_gadget(3)})
+
+
+def test_experiment_refuses_a_gadget_beyond_the_gate(gadget_k1, monkeypatch):
+    ref = reference_gadget(2)
+    bad = GadgetSpec(2, ref.phi, 2 * ref.u_eff, ref.success_prob, ref.residual)
+    _refuses_before_drawing(monkeypatch, NotUnitaryError, "gadget k=2",
+                            gadgets={1: gadget_k1, 2: bad})
+    # the reference gadget (k = n) is gated too, with k = n absent from k_list
+    with pytest.raises(NotUnitaryError, match="gadget k=2"):
+        tvd_bunching_experiment(2, [3], [1], math.pi / 2, trials=1, seed=1,
+                                gadgets={1: gadget_k1, 2: bad})
 
 
 def test_summary_and_csv(tmp_path, gadget_k1, gadget_k2):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nlboson import analysis, save_gadget, save_matrix
+from nlboson import GadgetSpec, analysis, reference_gadget, save_gadget, save_matrix
 from nlboson.cli import main
 
 
@@ -134,6 +134,42 @@ def test_simulate_requires_gadget(tmp_path):
     _write_experiment_config(cfg)
     out = tmp_path / "samples.csv"
     assert main(["simulate", "--config", str(cfg), "--samples", "10", "--out", str(out)]) == 1
+
+
+def test_simulate_refuses_a_gadget_beyond_the_gate_and_writes_nothing(tmp_path, capsys):
+    ref = reference_gadget(2)
+    gadget = tmp_path / "bad.json"
+    save_gadget(gadget, GadgetSpec(2, ref.phi, 2 * ref.u_eff, ref.success_prob, ref.residual))
+    cfg = tmp_path / "exp.json"
+    _write_experiment_config(cfg, gadget=gadget)
+    out = tmp_path / "samples.csv"
+    code = main(["simulate", "--config", str(cfg), "--samples", "10", "--out", str(out)])
+    _assert_error_line(capsys, code, "gadget k=2: matrix is not unitary")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "exp.json"]
+
+
+def test_simulate_runs_on_an_exported_rounded_reference_gadget(tmp_path):
+    gadget = tmp_path / "ref3.json"
+    assert main(["gadget", "reference", "--k", "3", "--out", str(gadget)]) == 0
+    cfg = tmp_path / "exp.json"
+    _write_experiment_config(cfg, phi=math.pi / 2, gadget=gadget)
+    out = tmp_path / "samples.csv"
+    assert main(["simulate", "--config", str(cfg), "--samples", "20", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 21
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_gadget_verify_bad_tolerance_is_an_error_line(tmp_path, capsys, tol):
+    gadget = tmp_path / "ref2.json"
+    assert main(["gadget", "reference", "--k", "2", "--out", str(gadget)]) == 0
+    capsys.readouterr()
+    code = main(["gadget", "verify", "--gadget", str(gadget), f"--tol={tol}"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "tolerance must be positive and finite" in captured.err
+    assert "FAILED" not in captured.out and "Traceback" not in captured.err
 
 
 def test_experiment_command_byte_identical_reruns(tmp_path):

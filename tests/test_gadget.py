@@ -7,6 +7,7 @@ from nlboson import (
     DimensionError,
     GadgetSpec,
     GadgetSynthesisError,
+    NotUnitaryError,
     apply_gadget,
     gadget_from_json,
     gadget_residuals,
@@ -248,8 +249,18 @@ def test_reference_k2_residuals_small():
     assert np.abs(res).max() <= 5e-3
 
 
-def test_reference_k2_unitarity():
-    assert unitarity_deviation(reference_gadget(2).u_eff) <= 2e-3
+@pytest.mark.parametrize("k, bound", [(2, 2e-3), (3, 2.5e-2), (4, 2e-3)],
+                         ids=["k2", "k3", "k4"])
+def test_reference_unitarity(k, bound):
+    # each table's own bound, tighter than the one gadget gate for k = 2 and 4
+    assert unitarity_deviation(reference_gadget(k).u_eff) <= bound
+
+
+def test_reference_gadgets_pass_the_one_gadget_gate(monkeypatch):
+    assert gadget.MAX_GADGET_DEVIATION == 2.5e-2
+    monkeypatch.setattr(gadget, "MAX_GADGET_DEVIATION", 1e-3)
+    with pytest.raises(NotUnitaryError, match="reference gadget k=3"):
+        reference_gadget(3)
 
 
 def test_reference_unsupported_k():
@@ -407,6 +418,20 @@ def test_verify_gadget_fails_for_corrupted(gadget_k2):
         gadget_k2.residual,
     )
     assert not verify_gadget(corrupted, tol=1e-6)["ok"]
+
+
+def test_verify_gadget_reports_a_non_unitary_gadget_without_refusing_it():
+    ref = reference_gadget(2)
+    doubled = GadgetSpec(ref.k, ref.phi, 2 * ref.u_eff, ref.success_prob, ref.residual)
+    report = verify_gadget(doubled, tol=1e-6)
+    assert not report["ok"]
+    assert report["unitarity_deviation"] == pytest.approx(3.0, abs=1e-2)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_verify_gadget_refuses_a_tolerance_that_is_not_positive_and_finite(gadget_k2, tol):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        verify_gadget(gadget_k2, tol=tol)
 
 
 def test_gadget_json_round_trip(tmp_path, gadget_k2):

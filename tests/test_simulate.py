@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ from nlboson import (
     DimensionError,
     GadgetSpec,
     NonlinearExperiment,
+    NotUnitaryError,
     SamplingBudgetError,
+    SimulationSetup,
     SingleModePhase,
     StateSpaceTooLargeError,
     build_setup,
@@ -21,6 +24,7 @@ from nlboson import (
     unitarity_deviation,
 )
 from nlboson.fock import enumerate_states
+from nlboson.gadget import MAX_GADGET_DEVIATION
 from nlboson.linear import Distribution, _inverse_sample
 from nlboson.simulate import _enlarged_output_probs
 
@@ -71,11 +75,44 @@ def test_setup_validation():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_setup_accepts_the_rounded_reference_gadgets(k):
-    # the enlarged unitary's slack covers a rounded gadget; W and V get none
+    # MAX_GADGET_DEVIATION covers every rounded table; W and V keep the 1e-8 gate
     rng = np.random.default_rng(63)
     w, v = haar_unitary(3, rng), haar_unitary(3, rng)
     setup = build_setup(w, v, 2, (1, 1, 0), reference_gadget(k))
     assert setup.k == k
+
+
+def _scaled(spec: GadgetSpec, factor: float) -> GadgetSpec:
+    return GadgetSpec(spec.k, spec.phi, factor * spec.u_eff, spec.success_prob, spec.residual)
+
+
+def test_setup_holds_its_five_inputs_and_derives_the_rest(gadget_k2):
+    assert [f.name for f in dataclasses.fields(SimulationSetup)] == [
+        "w", "v", "mode_x", "input_state", "gadget",
+    ]
+    w = np.eye(3, dtype=complex)
+    setup = build_setup(w, w, 1, (1, 1, 0), gadget_k2)
+    with pytest.raises(TypeError):
+        dataclasses.replace(setup, enlarged_unitary=2 * setup.enlarged_unitary)
+    with pytest.raises(NotUnitaryError, match="W"):
+        dataclasses.replace(setup, w=2 * setup.w)
+    # a replaced input reaches the derived system
+    moved = dataclasses.replace(setup, input_state=[0, 1, 1])
+    assert moved.input_state == (0, 1, 1)
+    assert moved.enlarged_input == (0, 1, 1, 1, 1)
+
+
+def test_setup_refuses_a_gadget_beyond_the_gate():
+    bad = _scaled(reference_gadget(2), 2.0)
+    w = np.eye(3, dtype=complex)
+    with pytest.raises(NotUnitaryError, match="gadget") as err:
+        build_setup(w, w, 1, (1, 1, 0), bad)
+    assert err.value.tolerance == MAX_GADGET_DEVIATION
+    with pytest.raises(NotUnitaryError):
+        SimulationSetup(w, w, 1, (1, 1, 0), bad)
+    # a small excess is refused too: deviation 0.0404
+    with pytest.raises(NotUnitaryError):
+        build_setup(w, w, 1, (1, 1, 0), _scaled(transparent_gadget(2), 1.02))
 
 
 # ---------------------------------------------------------------------------
