@@ -16,13 +16,12 @@ import numpy as np
 from .errors import DimensionError
 from .fock import FockState, as_state
 from .gadget import (
-    DEFAULT_SUCCESS_THRESHOLDS,
     MAX_ANCILLAS,
     GadgetSpec,
     _require_usable_gadget,
     optimize_gadget,
 )
-from .linalg import haar_unitary
+from .linalg import _checked_mode, haar_unitary
 from .linear import Distribution, _unit_sum_distribution, output_distribution
 from .nonlinear import (
     NonlinearExperiment,
@@ -74,8 +73,7 @@ def _global_bunching_mass(dist: Distribution, threshold: int) -> float:
 def bunching_at_site(w, input_state, mode_x: int, threshold: int) -> float:
     """Probability of more than `threshold` photons at one mode after `w`."""
     s = as_state(input_state)
-    if not 1 <= mode_x <= len(s):
-        raise DimensionError(f"mode {mode_x} out of range [1, {len(s)}]")
+    mode_x = _checked_mode(mode_x, len(s), f"mode {mode_x}")
     dist = output_distribution(w, s)
     return _site_bunching_mass(dist, mode_x, threshold)
 
@@ -169,6 +167,8 @@ def random_unitary_search(exp: NonlinearExperiment, iterations: int,
                           rng: np.random.Generator) -> SearchResult:
     """Haar-sample linear unitaries, tracking the one whose output
     distribution is closest (in TVD) to the non-linear evolution."""
+    if int(iterations) < 1:
+        raise ValueError(f"iterations must be positive, got iterations={iterations}")
     target = nonlinear_distribution(exp)
     best = math.inf
     best_u = None
@@ -180,8 +180,6 @@ def random_unitary_search(exp: NonlinearExperiment, iterations: int,
             best = d
             best_u = u
         trace[i] = best
-    if best_u is None:
-        raise ValueError("iterations must be positive")
     return SearchResult(best, best_u, trace)
 
 
@@ -214,8 +212,7 @@ def default_gate_mode(m: int) -> int:
 
 
 def synthesize_gadgets(ks: Sequence[int], phi: float, seed: int, *,
-                       p_th: Mapping[int, float] | None = None,
-                       starts: int = 60, budget: int = 2000) -> dict[int, GadgetSpec]:
+                       starts: int = 60) -> dict[int, GadgetSpec]:
     """One gadget per ancilla count, each from its own derived random stream."""
     ks = sorted(set(int(k) for k in ks))
     bad = [k for k in ks if not 1 <= k <= MAX_ANCILLAS]
@@ -225,9 +222,8 @@ def synthesize_gadgets(ks: Sequence[int], phi: float, seed: int, *,
         )
     out: dict[int, GadgetSpec] = {}
     for k in ks:
-        threshold = (p_th or {}).get(k, DEFAULT_SUCCESS_THRESHOLDS[k])
         rng = np.random.default_rng([seed, 1_000_003, k])
-        out[k] = optimize_gadget(k, phi, threshold, starts=starts, rng=rng, budget=budget)
+        out[k] = optimize_gadget(k, phi, starts=starts, rng=rng)
     return out
 
 
@@ -299,7 +295,8 @@ def tvd_bunching_experiment(
         raise DimensionError(f"photon number must be >= 0, got n={n}")
     if reference not in ("gadget", "pathsum"):
         raise ValueError(f"unknown reference {reference!r} (use 'gadget' or 'pathsum')")
-    too_few = [int(m) for m in m_list if int(m) < n]
+    m_list = [int(m) for m in m_list]
+    too_few = [m for m in m_list if m < n]
     if too_few:
         raise DimensionError(
             f"need m >= n to inject single photons, got n={n}, m={too_few[0]}"
@@ -308,13 +305,15 @@ def tvd_bunching_experiment(
     too_low = [k for k in k_list if k < 1]
     if too_low:
         raise DimensionError(f"ancilla counts must be >= 1, got k={too_low[0]}")
+    for name, values in (("m", m_list), ("k", k_list)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"each {name} may be listed once, got {name}={values}")
     if int(trials) < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
     if int(workers) < 1:
         raise ValueError(f"need at least one worker, got workers={workers}")
-    if mode_x is not None and not all(1 <= mode_x <= int(m) for m in m_list):
-        smallest = min(int(m) for m in m_list)
-        raise DimensionError(f"gate mode mode_x={mode_x} out of range [1, {smallest}]")
+    if mode_x is not None:
+        mode_x = _checked_mode(mode_x, min(m_list), f"gate mode mode_x={mode_x}")
     needed = set(k_list) | ({n} if reference == "gadget" else set())
     if gadgets is None:
         gadgets = synthesize_gadgets(sorted(needed), phi, seed, starts=starts)
@@ -328,7 +327,7 @@ def tvd_bunching_experiment(
             )
         _require_usable_gadget(gadgets[k].u_eff, f"gadget k={k}")
     tasks = [
-        (n, int(m), k_list, float(phi), trial, int(seed), mode_x, dict(gadgets), reference)
+        (n, m, k_list, float(phi), trial, int(seed), mode_x, dict(gadgets), reference)
         for m in m_list
         for trial in range(int(trials))
     ]

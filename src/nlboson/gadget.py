@@ -72,27 +72,33 @@ MAX_GADGET_DEVIATION = 2.5e-2
 
 @dataclass(frozen=True, eq=False)
 class GadgetSpec:
-    """A synthesized or bundled gadget with its figures of merit.
-
-    ``residual`` is the value of the synthesis objective (sum of squared
-    condition residuals) at ``u_eff``; both it and ``success_prob`` are
-    recomputable from the matrix.
+    """A gadget: a finite (k+1) x (k+1) matrix, k >= 1, checked and copied
+    read-only on construction, and the phase it targets.  ``success_prob``
+    (the heralding probability) and ``residual`` (the synthesis objective, the
+    summed squared condition residuals at ``phi``) are derived from it.
     """
 
     k: int
     phi: float
     u_eff: np.ndarray
-    success_prob: float
-    residual: float
 
     def __post_init__(self):
-        u = np.array(self.u_eff, dtype=complex)
+        u = _checked_gadget_matrix(self.u_eff).copy()
         if u.shape != (self.k + 1, self.k + 1):
             raise DimensionError(
                 f"k={self.k} gadget needs a {self.k + 1}x{self.k + 1} matrix, got {u.shape}"
             )
         u.setflags(write=False)
         object.__setattr__(self, "u_eff", u)
+
+    @property
+    def success_prob(self) -> float:
+        return success_probability(self.u_eff)
+
+    @property
+    def residual(self) -> float:
+        res = gadget_residuals(self.u_eff, self.phi)
+        return float(np.sum(res.real**2 + res.imag**2))
 
 
 def _checked_gadget_matrix(u_eff) -> np.ndarray:
@@ -247,11 +253,6 @@ def _heralding_probability(u: np.ndarray) -> float:
     return abs(_ryser_gray(u[1:, 1:].T.tolist())) ** 2
 
 
-def _objective_of_matrix(u_eff, phi: float) -> float:
-    res = gadget_residuals(u_eff, phi)
-    return float(np.sum(res.real**2 + res.imag**2))
-
-
 def success_bound(phi: float) -> float:
     """Upper bound on the heralding probability of any exact k=2 realization:
     [3 - cos(pi + 2*phi)]^2 / 16."""
@@ -371,14 +372,12 @@ def optimize_gadget(
     if k == 1:
         # A one-photon "non-linearity" is a plain phase: diag(e^{-i phi}, 1)
         # satisfies the single condition exactly with unit success probability.
-        u = np.diag([complex(math.cos(phi), -math.sin(phi)), 1.0 + 0j])
-        return GadgetSpec(1, phi, u, success_probability(u), _objective_of_matrix(u, phi))
+        return GadgetSpec(1, phi, np.diag([complex(math.cos(phi), -math.sin(phi)), 1.0 + 0j]))
     if rng is None:
         rng = np.random.default_rng()
     m = k + 1
 
-    best_key = None
-    best: tuple[np.ndarray, float, float] | None = None  # (u, objective, prob)
+    best_key = best = None
     for start in range(int(starts)):
         x = _random_raw(m, rng)
         lam = 10.0
@@ -403,31 +402,26 @@ def optimize_gadget(
                 max_nfev=int(budget),
             )
             x = ls.x
-            if _heralding_probability(_matrix_from_raw(x, m)) >= p_th:
+            if ls.fun[-1] == 0.0:  # no success shortfall at x
                 break
             lam *= 10.0
-        u = _matrix_from_raw(x, m)
-        obj = _objective_of_matrix(u, phi)
-        prob = success_probability(u)
+        spec = GadgetSpec(k, float(phi), _matrix_from_raw(x, m))
+        obj, prob = spec.residual, spec.success_prob
         feasible = obj <= CONVERGENCE_OBJECTIVE and prob >= p_th - 1e-12
         key = (not feasible, obj, -prob, start)
         if best_key is None or key < best_key:
-            best_key = key
-            best = (u, obj, prob)
+            best_key, best = key, spec
         if feasible and obj <= 1e-20:
             break
 
-    assert best is not None
-    u, obj, prob = best
-    spec = GadgetSpec(k, float(phi), u, prob, obj)
     if best_key[0]:  # not feasible
         raise GadgetSynthesisError(
-            f"no feasible gadget found for k={k}, phi={phi:.6g}, p_th={p_th} "
-            f"after {starts} starts (best objective {obj:.3e}, success {prob:.4f}); "
+            f"no feasible gadget found for k={k}, phi={phi:.6g}, p_th={p_th} after {starts} "
+            f"starts (best objective {best_key[1]:.3e}, success {best.success_prob:.4f}); "
             f"the search is sensitive to p_th",
-            best=spec,
+            best=best,
         )
-    return spec
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +466,7 @@ def reference_gadget(k: int) -> GadgetSpec:
         raise ValueError(f"reference gadgets exist for k in {sorted(_REFERENCE_MATRICES)}, got {k}")
     u = _REFERENCE_MATRICES[k]
     _require_usable_gadget(u, f"reference gadget k={k}")
-    phi = math.pi / 2
-    return GadgetSpec(k, phi, u, success_probability(u), _objective_of_matrix(u, phi))
+    return GadgetSpec(k, math.pi / 2, u)
 
 
 def verify_gadget(spec: GadgetSpec, tol: float = 1e-6) -> dict:
@@ -485,15 +478,13 @@ def verify_gadget(spec: GadgetSpec, tol: float = 1e-6) -> dict:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got tol={tol}")
-    res = gadget_residuals(spec.u_eff, spec.phi)
-    max_res = float(np.abs(res).max()) if len(res) else 0.0
+    max_res = float(np.abs(gadget_residuals(spec.u_eff, spec.phi)).max())
     dev = unitarity_deviation(spec.u_eff)
-    prob = success_probability(spec.u_eff)
     return {
         "k": spec.k,
         "phi": spec.phi,
-        "success_prob": prob,
-        "objective": float(np.sum(res.real**2 + res.imag**2)),
+        "success_prob": spec.success_prob,
+        "objective": spec.residual,
         "max_residual": max_res,
         "unitarity_deviation": dev,
         "success_bound": success_bound(spec.phi) if spec.k == 2 else None,
@@ -517,13 +508,7 @@ def gadget_to_json(spec: GadgetSpec) -> dict:
 
 def gadget_from_json(obj: dict) -> GadgetSpec:
     try:
-        return GadgetSpec(
-            k=int(obj["k"]),
-            phi=float(obj["phi"]),
-            u_eff=matrix_from_json(obj["u_eff"]),
-            success_prob=float(obj["success_prob"]),
-            residual=float(obj["residual"]),
-        )
+        return GadgetSpec(int(obj["k"]), float(obj["phi"]), matrix_from_json(obj["u_eff"]))
     except KeyError as exc:
         raise ValueError(f"malformed gadget JSON: missing {exc}") from None
     except TypeError as exc:

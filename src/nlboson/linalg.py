@@ -245,9 +245,11 @@ def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
 
 def unitarity_deviation(U) -> float:
     """Max-norm deviation of U†U from the identity."""
-    u = _as_square(U)
-    eye = np.eye(u.shape[0])
-    return float(np.abs(u.conj().T @ u - eye).max()) if u.size else 0.0
+    return _deviation(_as_square(U))
+
+
+def _deviation(u: np.ndarray) -> float:  # u as _as_square returns it
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()) if u.size else 0.0
 
 
 def require_unitary(U, tol: float = 1e-8, context: str = "") -> np.ndarray:
@@ -257,7 +259,7 @@ def require_unitary(U, tol: float = 1e-8, context: str = "") -> np.ndarray:
     and every W -> gate -> V sandwich is checked here, at that value.
     """
     u = _as_square(U)
-    dev = unitarity_deviation(u)
+    dev = _deviation(u)
     if dev > tol:
         raise NotUnitaryError(dev, tol, context)
     return u
@@ -356,10 +358,19 @@ def direct_sum(a, b) -> np.ndarray:
     return out
 
 
+def _checked_mode(mode, m: int | None, label: str) -> int:
+    """A 1-based mode as an int, or DimensionError naming it `label`: any integer
+    type passes (numpy's too), a float does not; given `m`, it must lie in 1..m."""
+    if not isinstance(mode, (int, np.integer)):
+        raise DimensionError(f"{label} must be an integer")
+    if m is not None and not 1 <= mode <= m:
+        raise DimensionError(f"{label} out of range [1, {m}]")
+    return int(mode)
+
+
 def phase_shifter(m: int, mode: int, phi: float) -> np.ndarray:
     """Identity except entry (mode, mode) = exp(-i*phi); mode is 1-based."""
-    if not 1 <= mode <= m:
-        raise DimensionError(f"mode {mode} out of range [1, {m}]")
+    mode = _checked_mode(mode, m, f"mode {mode}")
     f = np.eye(m, dtype=complex)
     f[mode - 1, mode - 1] = complex(math.cos(phi), -math.sin(phi))
     return f

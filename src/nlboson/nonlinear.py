@@ -27,7 +27,7 @@ with more than one photon at the gate site (:func:`phase_gate_amplitude_split`).
 
 Every entry to the sandwich, :class:`nlboson.simulate.SimulationSetup` included,
 checks it once with ``_checked_sandwich``: W and V m x m and unitary, the gate
-mode in 1..m.  A :class:`NonlinearExperiment` is a checked sandwich.
+mode an integer in 1..m.  A :class:`NonlinearExperiment` is a checked sandwich.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .fock import (
     normalization_product,
     photon_count,
 )
-from .linalg import matrix_from_states, permanent, phase_shifter, require_unitary
+from .linalg import _checked_mode, matrix_from_states, permanent, phase_shifter, require_unitary
 from .linear import Distribution, _amplitudes_to_all, _guard_space, _unit_sum_distribution
 
 __all__ = [
@@ -69,6 +69,7 @@ class SingleModePhase:
     phi: float
 
     def __post_init__(self):
+        _checked_mode(self.mode, None, f"gate mode {self.mode}")
         if not math.isfinite(self.phi):
             raise ValueError(f"phase phi must be finite, got phi={self.phi}")
 
@@ -81,8 +82,8 @@ class SingleModePhase:
         return complex(math.cos(a), math.sin(a))
 
 
-def _checked_sandwich(w, v, mode_x: int, input_state) -> tuple[np.ndarray, np.ndarray, FockState]:
-    """(W, V, input state) of a W -> (mode x) -> V sandwich, or the error that refuses it."""
+def _checked_sandwich(w, v, mode_x, input_state) -> tuple[np.ndarray, np.ndarray, int, FockState]:
+    """(W, V, mode x, input state) of a W -> (mode x) -> V sandwich, or the error refusing it."""
     s = as_state(input_state)
     m = len(s)
     w = np.asarray(w, dtype=complex)
@@ -91,9 +92,8 @@ def _checked_sandwich(w, v, mode_x: int, input_state) -> tuple[np.ndarray, np.nd
         raise DimensionError(
             f"networks must be {m}x{m} for a {m}-mode input, got {w.shape} and {v.shape}"
         )
-    if not 1 <= mode_x <= m:
-        raise DimensionError(f"gate mode {mode_x} out of range [1, {m}]")
-    return require_unitary(w, context="W"), require_unitary(v, context="V"), s
+    x = _checked_mode(mode_x, m, f"gate mode {mode_x}")
+    return require_unitary(w, context="W"), require_unitary(v, context="V"), x, s
 
 
 def _checked_output(output_state, m: int, n: int) -> FockState:
@@ -119,7 +119,7 @@ class NonlinearExperiment:
             raise TypeError(
                 f"gate must be a SingleModePhase, got {type(self.gate).__name__}"
             )
-        w, v, s = _checked_sandwich(self.w, self.v, self.gate.mode, self.input_state)
+        w, v, _, s = _checked_sandwich(self.w, self.v, self.gate.mode, self.input_state)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "input_state", s)
@@ -162,7 +162,7 @@ def phase_gate_amplitude(w, mode_x: int, phi: float, v, input_state, output_stat
     no code with the path sum of :func:`nonlinear_amplitude`.
     """
     gate = SingleModePhase(mode_x, phi)
-    w, v, s = _checked_sandwich(w, v, mode_x, input_state)
+    w, v, mode_x, s = _checked_sandwich(w, v, mode_x, input_state)
     n = photon_count(s)
     t = _checked_output(output_state, len(s), n)
     passes = [
@@ -214,7 +214,7 @@ def photon_number_components(w, v, mode_x: int, input_state) -> tuple[StateSpace
     theta_q = 2 pi q/(n+1), and an inverse DFT over q; every pass reads the
     labels and norms of the one shared space.
     """
-    w, v, s = _checked_sandwich(w, v, mode_x, input_state)
+    w, v, mode_x, s = _checked_sandwich(w, v, mode_x, input_state)
     return _components(w, v, mode_x, s)
 
 
@@ -239,7 +239,7 @@ def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state,
     with r_x > 1, the path term weighted by exp(-i r_x^2 phi) - exp(-i r_x phi).
     Equal to :func:`phase_gate_amplitude` to rounding.
     """
-    w, v, s = _checked_sandwich(w, v, mode_x, input_state)
+    w, v, mode_x, s = _checked_sandwich(w, v, mode_x, input_state)
     m, n = len(s), photon_count(s)
     t = _checked_output(output_state, m, n)
     ubar = linearized_evolution(w, mode_x, phi, v)

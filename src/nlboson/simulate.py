@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, PostselectionError, SamplingBudgetError
+from .errors import PostselectionError, SamplingBudgetError
 from .fock import (
     FockState,
     StateSpace,
@@ -51,9 +51,9 @@ class SimulationSetup:
     """The enlarged linear system standing in for one non-linear experiment.
 
     Checked on construction: the W -> (mode x) -> V sandwich as every entry of
-    :mod:`nlboson.nonlinear` checks it, at least one ancilla, and the gadget
-    gate of :mod:`nlboson.gadget`.  The enlarged unitary and input are derived
-    from the five fields, so they cannot disagree with them.
+    :mod:`nlboson.nonlinear` checks it, and the gadget gate of
+    :mod:`nlboson.gadget`.  The enlarged unitary and input are derived from
+    the five fields, so they cannot disagree with them.
 
     Gadget port 1 attaches to mode `mode_x` (1-based); ancilla ports attach to
     modes m+1..m+k in ascending order.
@@ -66,13 +66,11 @@ class SimulationSetup:
     gadget: GadgetSpec
 
     def __post_init__(self):
-        if self.gadget.k < 1:
-            raise DimensionError("simulation needs at least one ancilla photon")
-        w, v, s = _checked_sandwich(self.w, self.v, self.mode_x, self.input_state)
+        w, v, x, s = _checked_sandwich(self.w, self.v, self.mode_x, self.input_state)
         _require_usable_gadget(self.gadget.u_eff, f"gadget k={self.gadget.k}")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "mode_x", int(self.mode_x))
+        object.__setattr__(self, "mode_x", x)
         object.__setattr__(self, "input_state", s)
 
     @property
@@ -106,9 +104,9 @@ class SimulationSetup:
 def build_setup(w, v, mode_x: int, input_state, gadget: GadgetSpec) -> SimulationSetup:
     """The checked :class:`SimulationSetup` of one heralded simulation.
 
-    Raises DimensionError for mismatched shapes, an out-of-range gate mode or
-    a gadget without ancillas, and NotUnitaryError for a non-unitary W or V
-    or a gadget beyond :data:`nlboson.gadget.MAX_GADGET_DEVIATION`.
+    Raises DimensionError for mismatched shapes or a gate mode that is not an
+    integer in 1..m, and NotUnitaryError for a non-unitary W or V or a gadget
+    beyond :data:`nlboson.gadget.MAX_GADGET_DEVIATION`.
     """
     return SimulationSetup(w, v, mode_x, input_state, gadget)
 

@@ -225,6 +225,17 @@ def test_search_zero_phase_target_is_reachable():
     assert result.best_tvd < 0.05
 
 
+@pytest.mark.parametrize("iterations", [0, -5])
+def test_search_refuses_too_few_iterations_before_any_work(monkeypatch, iterations):
+    def untouched(*args, **kwargs):
+        raise AssertionError("computed the target before checking iterations")
+
+    monkeypatch.setattr(analysis, "nonlinear_distribution", untouched)
+    exp = NonlinearExperiment(BS, BS, SingleModePhase(1, 0.7), (1, 1))
+    with pytest.raises(ValueError, match=f"iterations={iterations}"):
+        random_unitary_search(exp, iterations, np.random.default_rng(94))
+
+
 def test_search_deterministic():
     rng = np.random.default_rng(92)
     w, v = haar_unitary(2, rng), haar_unitary(2, rng)
@@ -342,6 +353,8 @@ def test_single_photons_reject_a_negative_photon_number():
     ({"mode_x": 0}, DimensionError, "mode_x=0 out of range \\[1, 5\\]"),
     ({"workers": 0}, ValueError, "workers=0"),
     ({"workers": -2}, ValueError, "workers=-2"),
+    ({"k_list": [1, 2, 1]}, ValueError, r"each k may be listed once, got k=\[1, 2, 1\]"),
+    ({"m_list": [5, 9, 5]}, ValueError, r"each m may be listed once, got m=\[5, 9, 5\]"),
 ])
 def test_experiment_rejects_bad_arguments_first(kwargs, error, message, monkeypatch):
     def untouched(*args, **kwargs):
@@ -385,7 +398,7 @@ def test_experiment_refuses_a_gadget_filed_under_another_k(gadget_k1, monkeypatc
 
 def test_experiment_refuses_a_gadget_beyond_the_gate(gadget_k1, monkeypatch):
     ref = reference_gadget(2)
-    bad = GadgetSpec(2, ref.phi, 2 * ref.u_eff, ref.success_prob, ref.residual)
+    bad = GadgetSpec(2, ref.phi, 2 * ref.u_eff)
     _refuses_before_drawing(monkeypatch, NotUnitaryError, "gadget k=2",
                             gadgets={1: gadget_k1, 2: bad})
     # the reference gadget (k = n) is gated too, with k = n absent from k_list

@@ -5,6 +5,14 @@ import numpy as np
 import pytest
 
 from nlboson import GadgetSpec, analysis, reference_gadget, save_gadget, save_matrix
+from nlboson import (
+    NonlinearExperiment,
+    SingleModePhase,
+    haar_unitary,
+    matrix_to_json,
+    nonlinear_distribution,
+    write_distribution_csv,
+)
 from nlboson.cli import main
 
 
@@ -139,7 +147,7 @@ def test_simulate_requires_gadget(tmp_path):
 def test_simulate_refuses_a_gadget_beyond_the_gate_and_writes_nothing(tmp_path, capsys):
     ref = reference_gadget(2)
     gadget = tmp_path / "bad.json"
-    save_gadget(gadget, GadgetSpec(2, ref.phi, 2 * ref.u_eff, ref.success_prob, ref.residual))
+    save_gadget(gadget, GadgetSpec(2, ref.phi, 2 * ref.u_eff))
     cfg = tmp_path / "exp.json"
     _write_experiment_config(cfg, gadget=gadget)
     out = tmp_path / "samples.csv"
@@ -379,4 +387,102 @@ def test_analyze_negative_occupation_cap_is_an_error_line(tmp_path, capsys):
     code = main(["analyze", "truncation", "--n", "2", "--m", "4", "--n-max", "-1",
                  "--units", "2", "--out", str(out)])
     _assert_error_line(capsys, code, "n_max=-1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, fragment", [
+    ("--k", "2,2", "each k may be listed once, got k=[2, 2]"),
+    ("--modes", "3,3", "each m may be listed once, got m=[3, 3]"),
+])
+def test_experiment_repeated_count_is_an_error_line(tmp_path, capsys, monkeypatch, flag, value,
+                                                    fragment):
+    def untouched(*args, **kwargs):
+        raise AssertionError("synthesized before validating the arguments")
+
+    monkeypatch.setattr(analysis, "synthesize_gadgets", untouched)
+    argv = {"--n": "2", "--modes": "3", "--k": "2", "--trials": "2"}
+    argv[flag] = value
+    out = tmp_path / "rec.csv"
+    code = main(["experiment", "tvd-bunching", *[a for kv in argv.items() for a in kv],
+                 "--out", str(out)])
+    _assert_error_line(capsys, code, fragment)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("iterations", ["0", "-5"])
+def test_linear_search_without_iterations_is_an_error_line(tmp_path, capsys, monkeypatch,
+                                                           iterations):
+    def untouched(*args, **kwargs):
+        raise AssertionError("computed the target before checking iterations")
+
+    monkeypatch.setattr(analysis, "nonlinear_distribution", untouched)
+    cfg = tmp_path / "exp.json"
+    _write_experiment_config(cfg)
+    out = tmp_path / "search.csv"
+    code = main(["analyze", "linear-search", "--config", str(cfg), "--iterations", iterations,
+                 "--out", str(out)])
+    _assert_error_line(capsys, code, f"iterations={iterations}")
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
+
+def _write_inline_config(path, w, v, input_state="1,1,0", **extra):
+    cfg = {"input_state": input_state, "mode_x": 2, "phi": 0.9,
+           "w_matrix": matrix_to_json(w), "v_matrix": matrix_to_json(v), **extra}
+    path.write_text(json.dumps(cfg))
+
+
+def test_inline_matrices_give_the_api_distribution(tmp_path):
+    rng = np.random.default_rng(95)
+    w, v = haar_unitary(3, rng), haar_unitary(3, rng)
+    cfg = tmp_path / "exp.json"
+    _write_inline_config(cfg, w, v)
+    out = tmp_path / "nl.csv"
+    assert main(["nonlinear-distribution", "--config", str(cfg), "--out", str(out)]) == 0
+    expected = tmp_path / "api.csv"
+    exp = NonlinearExperiment(w, v, SingleModePhase(2, 0.9), (1, 1, 0))
+    write_distribution_csv(nonlinear_distribution(exp), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("case, fragment", [
+    ("2W", "W: matrix is not unitary"),
+    ("2x2 for 3 modes", "networks must be 3x3 for a 3-mode input"),
+    ("m disagrees", "config m=4 but input_state has 3 modes"),
+])
+def test_bad_inline_config_is_an_error_line(tmp_path, capsys, case, fragment):
+    rng = np.random.default_rng(96)
+    w, v = haar_unitary(3, rng), haar_unitary(3, rng)
+    cfg = tmp_path / "exp.json"
+    if case == "2W":
+        _write_inline_config(cfg, 2 * w, v)
+    elif case == "2x2 for 3 modes":
+        _write_inline_config(cfg, np.eye(2), np.eye(2))
+    else:
+        _write_inline_config(cfg, w, v, m=4)
+    out = tmp_path / "nl.csv"
+    code = main(["nonlinear-distribution", "--config", str(cfg), "--out", str(out)])
+    _assert_error_line(capsys, code, fragment)
+    assert not out.exists()
+
+
+def test_gadget_verify_checks_the_phase_it_is_given(tmp_path, gadget_k2, capsys):
+    path = tmp_path / "g2.json"
+    save_gadget(path, gadget_k2)
+    assert main(["gadget", "verify", "--gadget", str(path), "--phi", "0.7"]) == 1
+    assert "FAILED" in capsys.readouterr().out
+    assert main(["gadget", "verify", "--gadget", str(path), "--phi", repr(math.pi / 2)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok"
+
+
+def test_gadget_without_ancillas_is_an_error_line(tmp_path, capsys):
+    gadget = tmp_path / "g0.json"
+    gadget.write_text(json.dumps({"k": 0, "phi": 0.0, "u_eff": matrix_to_json(np.eye(1))}))
+    _assert_error_line(capsys, main(["gadget", "verify", "--gadget", str(gadget)]),
+                       "expected a square matrix of size >= 2")
+    cfg = tmp_path / "exp.json"
+    _write_experiment_config(cfg)
+    out = tmp_path / "samples.csv"
+    code = main(["simulate", "--config", str(cfg), "--gadget", str(gadget), "--samples", "10",
+                 "--out", str(out)])
+    _assert_error_line(capsys, code, "expected a square matrix of size >= 2")
     assert not out.exists()

@@ -272,6 +272,19 @@ def test_cache_stays_within_its_byte_bound(empty_cache, monkeypatch):
         assert (fock._space_nbytes(m, n) <= bound) == ((m, n) in fock._cache)
 
 
+def test_cache_evicts_the_least_recently_used_space_first(empty_cache, monkeypatch):
+    a, b, c = (5, 3), (6, 3), (4, 4)
+    nbytes = {key: fock._space_nbytes(*key) for key in (a, b, c)}
+    monkeypatch.setattr(fock, "CACHE_MAX_BYTES", nbytes[a] + nbytes[b] + nbytes[c] - 1)
+    kept_a = enumerate_states(*a)
+    enumerate_states(*b)
+    assert enumerate_states(*a) is kept_a  # a hit: b is now the least recently used
+    enumerate_states(*c)
+    assert list(fock._cache) == [a, c]
+    assert fock._cache_nbytes == nbytes[a] + nbytes[c]
+    assert enumerate_states(*a) is kept_a
+
+
 def test_norms_beyond_the_float_range_read_as_inf():
     space = enumerate_states(2, 171)
     norms = space.norms

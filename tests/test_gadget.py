@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,6 @@ from nlboson.gadget import (
     _expanded_permanent_gradients,
     _expanded_permanents,
     _matrix_from_raw,
-    _objective_of_matrix,
     _penalized_objective,
     _random_raw,
     _residual_jacobian,
@@ -292,7 +294,7 @@ def test_objective_matches_residual_norm_and_is_nonnegative():
     rng = np.random.default_rng(50)
     for _ in range(5):
         u = _matrix_from_raw(_random_raw(3, rng), 3)
-        d = _objective_of_matrix(u, 0.7)
+        d = GadgetSpec(2, 0.7, u).residual
         res = gadget_residuals(u, 0.7)
         assert d >= 0.0
         assert d == pytest.approx(float(np.sum(np.abs(res) ** 2)), abs=1e-12)
@@ -414,15 +416,13 @@ def test_verify_gadget_fails_for_corrupted(gadget_k2):
         gadget_k2.k,
         gadget_k2.phi + 0.3,  # wrong phase target
         gadget_k2.u_eff,
-        gadget_k2.success_prob,
-        gadget_k2.residual,
     )
     assert not verify_gadget(corrupted, tol=1e-6)["ok"]
 
 
 def test_verify_gadget_reports_a_non_unitary_gadget_without_refusing_it():
     ref = reference_gadget(2)
-    doubled = GadgetSpec(ref.k, ref.phi, 2 * ref.u_eff, ref.success_prob, ref.residual)
+    doubled = GadgetSpec(ref.k, ref.phi, 2 * ref.u_eff)
     report = verify_gadget(doubled, tol=1e-6)
     assert not report["ok"]
     assert report["unitarity_deviation"] == pytest.approx(3.0, abs=1e-2)
@@ -457,9 +457,75 @@ def test_gadget_json_rejects_a_value_of_the_wrong_type(obj):
 
 def test_gadget_spec_leaves_the_callers_matrix_alone():
     u = np.eye(2, dtype=complex)
-    spec = GadgetSpec(1, 0.0, u, 1.0, 0.0)
+    spec = GadgetSpec(1, 0.0, u)
     assert u.flags.writeable
     assert not spec.u_eff.flags.writeable
     assert not np.shares_memory(spec.u_eff, u)
     u[0, 0] = 5.0
     assert spec.u_eff[0, 0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# a gadget is its matrix: the figures of merit are derived from it
+# ---------------------------------------------------------------------------
+
+def test_gadget_spec_holds_three_fields_and_derives_its_figures(gadget_k2):
+    assert [f.name for f in dataclasses.fields(GadgetSpec)] == ["k", "phi", "u_eff"]
+    assert gadget_k2.success_prob == success_probability(gadget_k2.u_eff)
+    report = verify_gadget(gadget_k2)
+    assert gadget_k2.residual == report["objective"]
+    assert gadget_k2.success_prob == report["success_prob"]
+    for name in ("success_prob", "residual"):
+        with pytest.raises(AttributeError):
+            setattr(gadget_k2, name, 0.5)
+    with pytest.raises(TypeError):
+        GadgetSpec(2, gadget_k2.phi, gadget_k2.u_eff, 1.0, 0.0)
+
+
+def test_replacing_the_phase_moves_the_objective(gadget_k2):
+    moved = dataclasses.replace(gadget_k2, phi=math.pi / 4)
+    assert moved.residual == verify_gadget(moved)["objective"]
+    assert moved.residual > 1e-8 >= gadget_k2.residual
+
+
+def test_an_edited_figure_in_a_gadget_file_is_recomputed(tmp_path, gadget_k2):
+    obj = gadget_to_json(gadget_k2)
+    obj["success_prob"], obj["residual"] = 0.9, 123.0
+    loaded = gadget_from_json(obj)
+    assert loaded.success_prob == gadget_k2.success_prob < 0.9
+    assert loaded.residual == gadget_k2.residual
+    del obj["success_prob"], obj["residual"]
+    assert gadget_from_json(obj).success_prob == gadget_k2.success_prob
+
+
+@pytest.mark.parametrize("k, u, error, message", [
+    (1, np.array([[1.0, math.nan], [0.0, 1.0]]), ValueError, "non-finite"),
+    (1, np.array([[math.inf, 0.0], [0.0, 1.0]]), ValueError, "non-finite"),
+    (1, np.ones((2, 3)), DimensionError, "square matrix of size >= 2"),
+    (0, np.ones((1, 1)), DimensionError, "square matrix of size >= 2"),
+    (2, np.eye(2), DimensionError, "k=2 gadget needs a 3x3 matrix"),
+    (1, np.eye(3), DimensionError, "k=1 gadget needs a 2x2 matrix"),
+    (-1, np.eye(2), DimensionError, "k=-1 gadget needs a 0x0 matrix"),
+])
+def test_gadget_spec_refuses_a_matrix_it_cannot_hold(k, u, error, message):
+    with pytest.raises(error, match=message):
+        GadgetSpec(k, 0.0, u)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_committed_gadget_files_store_the_figures_their_matrices_give(k):
+    path = Path(__file__).parent.parent / "perfbench" / "inputs" / f"gadget_k{k}_pi2.json"
+    stored = json.loads(path.read_text())
+    loaded = load_gadget(path)
+    assert loaded.success_prob == stored["success_prob"]
+    assert loaded.residual == pytest.approx(stored["residual"], rel=0, abs=2e-25)
+
+
+def test_shortfall_row_is_zero_exactly_when_the_threshold_is_met():
+    # the least-squares loop stops escalating the penalty on this row alone
+    rng = np.random.default_rng(53)
+    for m, p_th in [(3, 0.15), (4, 0.02), (3, 0.05)]:
+        for _ in range(20):
+            x = _random_raw(m, rng)
+            row = _residual_vector(x, m, 0.9, p_th, 10.0)[-1]
+            assert (row == 0.0) == (success_probability(_matrix_from_raw(x, m)) >= p_th)

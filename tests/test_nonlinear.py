@@ -9,12 +9,14 @@ from nlboson import (
     NotUnitaryError,
     SingleModePhase,
     amplitude,
+    bunching_at_site,
     build_setup,
     enumerate_states,
     haar_unitary,
     linearized_evolution,
     nonlinear_amplitude,
     nonlinear_distribution,
+    optimize_gadget,
     output_distribution,
     phase_gate_amplitude,
     phase_gate_amplitude_split,
@@ -22,6 +24,7 @@ from nlboson import (
     photon_number_components,
     reference_gadget,
     tvd,
+    tvd_bunching_experiment,
     unitarity_deviation,
 )
 
@@ -326,3 +329,38 @@ def test_every_entry_refuses_a_bad_sandwich_alike(entry, case):
     with pytest.raises((DimensionError, NotUnitaryError)) as err:
         SANDWICH_ENTRIES[entry](*args)
     assert err.type is expected
+
+
+# ---------------------------------------------------------------------------
+# one gate-mode check: an integer in 1..m
+# ---------------------------------------------------------------------------
+
+def _mode_entries():
+    w, v = haar_pair(3, 59)
+    s = (1, 1, 0)
+    t = (0, 1, 1)
+    return {
+        "SingleModePhase": lambda x: SingleModePhase(x, 0.3),
+        "nonlinear_distribution": lambda x: nonlinear_distribution(_experiment(w, v, x, s)),
+        "photon_number_components": lambda x: photon_number_components(w, v, x, s),
+        "phase_gate_amplitude": lambda x: phase_gate_amplitude(w, x, 0.3, v, s, t),
+        "phase_gate_amplitude_split": lambda x: phase_gate_amplitude_split(w, x, 0.3, v, s, t),
+        "phase_shifter": lambda x: phase_shifter(3, x, 0.3),
+        "linearized_evolution": lambda x: linearized_evolution(w, x, 0.3, v),
+        "bunching_at_site": lambda x: bunching_at_site(w, s, x, 1),
+        "tvd_bunching_experiment": lambda x: tvd_bunching_experiment(
+            2, [3], [1], 0.3, trials=1, seed=0, mode_x=x, reference="pathsum",
+            gadgets={1: optimize_gadget(1, 0.3)}),
+        "build_setup": lambda x: build_setup(w, v, x, s, reference_gadget(2)).mode_x,
+    }
+
+
+@pytest.mark.parametrize("entry", list(_mode_entries()))
+def test_every_gate_mode_entry_takes_integers_only(entry):
+    call = _mode_entries()[entry]
+    for mode in (1.5, 2.0, "2"):
+        with pytest.raises(DimensionError, match="must be an integer"):
+            call(mode)
+    out = call(np.int64(2))
+    if entry == "build_setup":
+        assert type(out) is int and out == 2

@@ -35,7 +35,7 @@ BS = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 def transparent_gadget(k: int) -> GadgetSpec:
     u = np.eye(k + 1, dtype=complex)
-    return GadgetSpec(k, 0.0, u, 1.0, 0.0)
+    return GadgetSpec(k, 0.0, u)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def test_setup_accepts_the_rounded_reference_gadgets(k):
 
 
 def _scaled(spec: GadgetSpec, factor: float) -> GadgetSpec:
-    return GadgetSpec(spec.k, spec.phi, factor * spec.u_eff, spec.success_prob, spec.residual)
+    return GadgetSpec(spec.k, spec.phi, factor * spec.u_eff)
 
 
 def test_setup_holds_its_five_inputs_and_derives_the_rest(gadget_k2):
@@ -150,7 +150,7 @@ def test_postselection_matches_enlarged_unitary_oracle(n, k, seed):
     rng = np.random.default_rng(seed)
     m = 3
     w, v = haar_unitary(m, rng), haar_unitary(m, rng)
-    gadget = GadgetSpec(k, 0.0, haar_unitary(k + 1, rng), 0.0, 0.0)
+    gadget = GadgetSpec(k, 0.0, haar_unitary(k + 1, rng))
     s = (1,) * n + (0,) * (m - n)
     setup = build_setup(w, v, int(rng.integers(1, m + 1)), s, gadget)
     dist, p_ps = postselected_distribution(setup)
