@@ -287,8 +287,9 @@ def tvd_bunching_experiment(
     photon-number components of (W, V) once; the reference and every k are
     factor vectors applied to them.
 
-    Each gadget it uses must sit under its own ancilla count in `gadgets` and
-    pass the gadget gate, :data:`nlboson.gadget.MAX_GADGET_DEVIATION`.
+    Each gadget it uses must sit under its own ancilla count in `gadgets`,
+    target the experiment's `phi` exactly and pass the gadget gate,
+    :data:`nlboson.gadget.MAX_GADGET_DEVIATION`.
     """
     n = int(n)
     if n < 0:
@@ -324,6 +325,11 @@ def tvd_bunching_experiment(
         if gadgets[k].k != k:
             raise DimensionError(
                 f"gadget map entry k={k} holds a k={gadgets[k].k} gadget"
+            )
+        if gadgets[k].phi != phi:
+            raise ValueError(
+                f"gadget map entry k={k} realises phi={gadgets[k].phi!r}, "
+                f"not the experiment's phi={phi!r}"
             )
         _require_usable_gadget(gadgets[k].u_eff, f"gadget k={k}")
     tasks = [

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every command is reproducible from its own outputs: results land at --out,
-and a ``<out>.meta.json`` sidecar records the full configuration, the seed
-and the package version.  Exit codes: 0 success, 1 domain failure, 2 usage.
+and :func:`main` writes a ``<out>.meta.json`` sidecar beside them that records
+the command, the full configuration, the seed and the package version.  Exit
+codes: 0 success, 1 domain failure, 2 usage.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .gadget import (
     save_gadget,
     verify_gadget,
 )
-from .linalg import haar_unitary, load_matrix, permanent, permanent_naive
+from .linalg import haar_unitary, load_matrix, matrix_from_json, permanent, permanent_naive
 from .linear import Distribution, output_distribution, write_distribution_csv
 from .nonlinear import (
     NonlinearExperiment,
@@ -50,9 +51,13 @@ from .simulate import build_setup, postselected_distribution, run_rejection_samp
 DEFAULT_PHI = math.pi / 2
 
 
-def _write_sidecar(out: Path, command: str, config: dict) -> None:
-    meta = {"command": command, "version": __version__, "config": config}
-    Path(str(out) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+def _write_sidecar(args: argparse.Namespace) -> None:
+    """``<out>.meta.json``: the command as typed (e.g. "gadget optimize"),
+    the package version and every option."""
+    words = [args.command, getattr(args, f"{args.command}_command", None)]
+    command = " ".join(word for word in words if word)
+    meta = {"command": command, "version": __version__, "config": _config_dict(args)}
+    Path(args.out + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _summary_path(out: Path) -> Path:
@@ -106,11 +111,14 @@ def _validate_config(cfg, path: str) -> None:
             )
 
 
-def _load_experiment(path: str, phi_override: float | None = None):
-    """Experiment config JSON -> (w, v, mode_x, phi, input_state, gadget_path).
+def _load_experiment(path: str, phi_override: float | None = None
+                     ) -> tuple[NonlinearExperiment, str | None]:
+    """Experiment config JSON -> (checked experiment, the config's gadget path).
 
     w_matrix / v_matrix are either inline matrix JSON or the string "haar",
-    in which case they derive deterministically from the config's seed.
+    in which case they derive deterministically from the config's seed.  The
+    gate sits at the config's mode_x (the central mode by default) with the
+    config's phi (pi/2 by default) unless `phi_override` is given.
     """
     cfg = json.loads(Path(path).read_text())
     _validate_config(cfg, path)
@@ -125,15 +133,13 @@ def _load_experiment(path: str, phi_override: float | None = None):
         value = cfg.get(key, "haar")
         if value == "haar":
             return haar_unitary(m, np.random.default_rng([seed, stream]))
-        from .linalg import matrix_from_json
-
         return matrix_from_json(value)
 
     w = realize("w_matrix", 0)
     v = realize("v_matrix", 1)
     phi = float(cfg.get("phi", DEFAULT_PHI)) if phi_override is None else phi_override
-    mode_x = int(cfg.get("mode_x", default_gate_mode(m)))
-    return w, v, mode_x, phi, s, cfg.get("gadget")
+    gate = SingleModePhase(int(cfg.get("mode_x", default_gate_mode(m))), phi)
+    return NonlinearExperiment(w, v, gate, s), cfg.get("gadget")
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +151,9 @@ def _cmd_permanent(args) -> int:
     value = permanent_naive(mat) if args.naive else permanent(mat)
     print(f"permanent: {value.real:.17g} {value.imag:+.17g}i")
     if args.out:
-        out = Path(args.out)
-        out.write_text(
+        Path(args.out).write_text(
             json.dumps({"size": mat.shape[0], "permanent": [value.real, value.imag]}) + "\n"
         )
-        _write_sidecar(out, "permanent", _config_dict(args))
     return 0
 
 
@@ -158,18 +162,15 @@ def _cmd_distribution(args) -> int:
     dist = output_distribution(u, parse_state(args.input))
     out = Path(args.out)
     write_distribution_csv(dist, out)
-    _write_sidecar(out, "distribution", _config_dict(args))
     print(f"wrote {len(dist.probs)} outcomes to {out}")
     return 0
 
 
 def _cmd_nonlinear_distribution(args) -> int:
-    w, v, mode_x, phi, s, _ = _load_experiment(args.config, args.phi)
-    exp = NonlinearExperiment(w, v, SingleModePhase(mode_x, phi), s)
+    exp, _ = _load_experiment(args.config, args.phi)
     dist = nonlinear_distribution(exp)
     out = Path(args.out)
     write_distribution_csv(dist, out)
-    _write_sidecar(out, "nonlinear-distribution", _config_dict(args))
     print(f"wrote {len(dist.probs)} outcomes to {out}")
     return 0
 
@@ -181,7 +182,6 @@ def _cmd_gadget_optimize(args) -> int:
     )
     out = Path(args.out)
     save_gadget(out, spec)
-    _write_sidecar(out, "gadget optimize", _config_dict(args))
     print(
         f"k={spec.k} phi={spec.phi:.6g}: success probability {spec.success_prob:.6f}, "
         f"objective {spec.residual:.3e} -> {out}"
@@ -202,17 +202,21 @@ def _cmd_gadget_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    w, v, mode_x, phi, s, gadget_ref = _load_experiment(args.config)
+    exp, gadget_ref = _load_experiment(args.config)
     gadget_path = args.gadget or gadget_ref
     if gadget_path is None:
         raise ValueError("no gadget given: pass --gadget or a 'gadget' config field")
     spec = load_gadget(gadget_path)
-    setup = build_setup(w, v, mode_x, s, spec)
+    setup = build_setup(exp.w, exp.v, exp.gate.mode, exp.input_state, spec)
+    if spec.phi != exp.gate.phi:
+        raise ValueError(
+            f"the gadget realises phi={spec.phi!r}, not the experiment's phi={exp.gate.phi!r}"
+        )
     _, p_ps = postselected_distribution(setup)
     rng = np.random.default_rng([args.seed, 2])
     samples, stats = run_rejection_sampling(setup, args.samples, rng)
 
-    exact = nonlinear_distribution(NonlinearExperiment(w, v, SingleModePhase(mode_x, phi), s))
+    exact = nonlinear_distribution(exp)
     counts = np.bincount(exact.space.ranks(samples), minlength=len(exact.space))
     empirical = Distribution(exact.space, counts / counts.sum())
 
@@ -228,7 +232,6 @@ def _cmd_simulate(args) -> int:
         "acceptance_rate": stats.acceptance_rate,
     }
     _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_sidecar(out, "simulate", _config_dict(args))
     print(
         f"accepted {stats.accepted} samples in {stats.trials} trials "
         f"(rate {stats.acceptance_rate:.4f}, heralding mass {p_ps:.4f}); "
@@ -256,7 +259,6 @@ def _cmd_experiment_tvd_bunching(args) -> int:
     write_records_csv(records, out)
     summary = summarize_records(records)
     _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_sidecar(out, "experiment tvd-bunching", _config_dict(args))
     for key, row in summary.items():
         print(f"{key}: mean TVD {row['tvd_mean']:.4f} (+/- {row['tvd_std']:.4f}), "
               f"site bunching {row['p_bunch_site_mean']:.4f}")
@@ -288,7 +290,6 @@ def _cmd_analyze_cumulative(args) -> int:
         for j, p in enumerate(thresholds)
     }
     _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_sidecar(out, "analyze cumulative", _config_dict(args))
     for key, row in summary.items():
         print(f"{key}: mean fraction {row['fraction_mean']:.3f}")
     return 0
@@ -304,18 +305,17 @@ def _cmd_analyze_truncation(args) -> int:
             fh.write(f"{unit},{value:.17g}\n")
     summary = {"mean": result.mean, "stddev": result.stddev, "units": args.units}
     _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_sidecar(out, "analyze truncation", _config_dict(args))
     print(f"truncated mass: {result.mean:.4f} +/- {result.stddev:.4f}")
     return 0
 
 
 def _cmd_analyze_linear_search(args) -> int:
-    w, v, mode_x, phi, s, _ = _load_experiment(args.config)
-    exp = NonlinearExperiment(w, v, SingleModePhase(mode_x, phi), s)
+    exp, _ = _load_experiment(args.config)
     rng = np.random.default_rng([args.seed, 3])
     result = random_unitary_search(exp, args.iterations, rng)
     target = nonlinear_distribution(exp)
-    benchmark = tvd(output_distribution(linearized_evolution(w, mode_x, phi, v), s), target)
+    ubar = linearized_evolution(exp.w, exp.gate.mode, exp.gate.phi, exp.v)
+    benchmark = tvd(output_distribution(ubar, exp.input_state), target)
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
         fh.write("iteration,best_tvd\n")
@@ -324,7 +324,6 @@ def _cmd_analyze_linear_search(args) -> int:
     summary = {"best_tvd": result.best_tvd, "tvd_linearized": benchmark,
                "iterations": args.iterations}
     _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_sidecar(out, "analyze linear-search", _config_dict(args))
     print(f"best random-search TVD {result.best_tvd:.4f}; "
           f"linearized benchmark TVD {benchmark:.4f}")
     return 0
@@ -334,7 +333,6 @@ def _cmd_gadget_reference(args) -> int:
     spec = reference_gadget(args.k)
     out = Path(args.out)
     save_gadget(out, spec)
-    _write_sidecar(out, "gadget reference", _config_dict(args))
     print(f"k={spec.k}: success probability {spec.success_prob:.4f} -> {out}")
     return 0
 
@@ -455,7 +453,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if code == 0 and getattr(args, "out", None):
+            _write_sidecar(args)
+        return code
     except (BosonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,6 +15,11 @@ for every l, and the heralding (success) probability is
 |per(u_eff^{0,1,...,1})|^2.  Synthesis minimizes the summed squared residuals
 of these conditions over a triangular mesh parametrization, with an exterior
 penalty keeping the success probability above a chosen threshold.
+
+A :class:`GadgetSpec` is its phase and its matrix; the ancilla count k, the
+success probability and the objective are derived from them.  The gadget
+file writes all five and reads back only the phase and the matrix, with the
+file's k checked against the matrix.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .errors import DimensionError, GadgetSynthesisError
 from .linalg import (
     _mesh_unitary,
     _mesh_unitary_derivatives,
+    _require_finite_phase,
     _ryser_gray,
     matrix_from_json,
     matrix_to_json,
@@ -72,24 +78,26 @@ MAX_GADGET_DEVIATION = 2.5e-2
 
 @dataclass(frozen=True, eq=False)
 class GadgetSpec:
-    """A gadget: a finite (k+1) x (k+1) matrix, k >= 1, checked and copied
-    read-only on construction, and the phase it targets.  ``success_prob``
-    (the heralding probability) and ``residual`` (the synthesis objective, the
-    summed squared condition residuals at ``phi``) are derived from it.
+    """A gadget: the finite phase ``phi`` it targets and a finite square
+    matrix ``u_eff`` of size >= 2, both checked on construction and the
+    matrix copied read-only.  Everything else is derived from them: ``k``
+    (the ancilla count, the matrix size minus one), ``success_prob`` (the
+    heralding probability) and ``residual`` (the synthesis objective, the
+    summed squared condition residuals at ``phi``).
     """
 
-    k: int
     phi: float
     u_eff: np.ndarray
 
     def __post_init__(self):
+        _require_finite_phase(self.phi)
         u = _checked_gadget_matrix(self.u_eff).copy()
-        if u.shape != (self.k + 1, self.k + 1):
-            raise DimensionError(
-                f"k={self.k} gadget needs a {self.k + 1}x{self.k + 1} matrix, got {u.shape}"
-            )
         u.setflags(write=False)
         object.__setattr__(self, "u_eff", u)
+
+    @property
+    def k(self) -> int:
+        return self.u_eff.shape[0] - 1
 
     @property
     def success_prob(self) -> float:
@@ -359,8 +367,7 @@ def optimize_gadget(
     """
     if not 1 <= k <= MAX_ANCILLAS:
         raise ValueError(f"supported ancilla counts are 1..{MAX_ANCILLAS}, got {k}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phase phi must be finite, got phi={phi}")
+    _require_finite_phase(phi)
     if p_th is None:
         p_th = DEFAULT_SUCCESS_THRESHOLDS[k]
     if not 0.0 < p_th < 1.0:
@@ -372,7 +379,7 @@ def optimize_gadget(
     if k == 1:
         # A one-photon "non-linearity" is a plain phase: diag(e^{-i phi}, 1)
         # satisfies the single condition exactly with unit success probability.
-        return GadgetSpec(1, phi, np.diag([complex(math.cos(phi), -math.sin(phi)), 1.0 + 0j]))
+        return GadgetSpec(phi, np.diag([complex(math.cos(phi), -math.sin(phi)), 1.0 + 0j]))
     if rng is None:
         rng = np.random.default_rng()
     m = k + 1
@@ -405,7 +412,7 @@ def optimize_gadget(
             if ls.fun[-1] == 0.0:  # no success shortfall at x
                 break
             lam *= 10.0
-        spec = GadgetSpec(k, float(phi), _matrix_from_raw(x, m))
+        spec = GadgetSpec(float(phi), _matrix_from_raw(x, m))
         obj, prob = spec.residual, spec.success_prob
         feasible = obj <= CONVERGENCE_OBJECTIVE and prob >= p_th - 1e-12
         key = (not feasible, obj, -prob, start)
@@ -466,7 +473,7 @@ def reference_gadget(k: int) -> GadgetSpec:
         raise ValueError(f"reference gadgets exist for k in {sorted(_REFERENCE_MATRICES)}, got {k}")
     u = _REFERENCE_MATRICES[k]
     _require_usable_gadget(u, f"reference gadget k={k}")
-    return GadgetSpec(k, math.pi / 2, u)
+    return GadgetSpec(math.pi / 2, u)
 
 
 def verify_gadget(spec: GadgetSpec, tol: float = 1e-6) -> dict:
@@ -507,12 +514,18 @@ def gadget_to_json(spec: GadgetSpec) -> dict:
 
 
 def gadget_from_json(obj: dict) -> GadgetSpec:
+    """The gadget a JSON object describes.  Its ``k`` must be the JSON integer
+    its ``u_eff`` gives; ``success_prob`` and ``residual`` are not read."""
     try:
-        return GadgetSpec(int(obj["k"]), float(obj["phi"]), matrix_from_json(obj["u_eff"]))
+        k = obj["k"]
+        spec = GadgetSpec(float(obj["phi"]), matrix_from_json(obj["u_eff"]))
     except KeyError as exc:
         raise ValueError(f"malformed gadget JSON: missing {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed gadget JSON: {exc}") from None
+    if type(k) is not int or k != spec.k:
+        raise ValueError(f"malformed gadget JSON: k={k!r}, but its matrix gives k={spec.k}")
+    return spec
 
 
 def save_gadget(path, spec: GadgetSpec) -> None:

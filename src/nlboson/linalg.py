@@ -368,9 +368,17 @@ def _checked_mode(mode, m: int | None, label: str) -> int:
     return int(mode)
 
 
+def _require_finite_phase(phi) -> None:
+    """ValueError unless `phi` is finite, the check of every gate, gadget and
+    phase shifter."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phase phi must be finite, got phi={phi}")
+
+
 def phase_shifter(m: int, mode: int, phi: float) -> np.ndarray:
     """Identity except entry (mode, mode) = exp(-i*phi); mode is 1-based."""
     mode = _checked_mode(mode, m, f"mode {mode}")
+    _require_finite_phase(phi)
     f = np.eye(m, dtype=complex)
     f[mode - 1, mode - 1] = complex(math.cos(phi), -math.sin(phi))
     return f

@@ -106,8 +106,6 @@ def _amplitudes_to_all(U, input_state, space: StateSpace) -> np.ndarray:
     callers validate once.
     """
     s = as_state(input_state)
-    if photon_count(s) == 0:
-        return np.ones(len(space), dtype=complex)
     rows = np.array(occupation_indices(s), dtype=np.intp)
     pers = gathered_permanents(U, rows, space.labels)
     norm_in = math.sqrt(normalization_product(s))
@@ -208,10 +206,14 @@ def read_distribution_csv(path) -> Distribution:
     probs: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty distribution CSV: no header")
         if header[:2] != ["state", "probability"]:
             raise ValueError(f"unexpected distribution CSV header: {header}")
         for row in reader:
+            if len(row) < 2:
+                raise ValueError(f"distribution CSV row {row} has no probability")
             states.append(parse_state(row[0]))
             probs.append(float(row[1]))
     if not states:

@@ -46,7 +46,14 @@ from .fock import (
     normalization_product,
     photon_count,
 )
-from .linalg import _checked_mode, matrix_from_states, permanent, phase_shifter, require_unitary
+from .linalg import (
+    _checked_mode,
+    _require_finite_phase,
+    matrix_from_states,
+    permanent,
+    phase_shifter,
+    require_unitary,
+)
 from .linear import Distribution, _amplitudes_to_all, _guard_space, _unit_sum_distribution
 
 __all__ = [
@@ -70,8 +77,7 @@ class SingleModePhase:
 
     def __post_init__(self):
         _checked_mode(self.mode, None, f"gate mode {self.mode}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phase phi must be finite, got phi={self.phi}")
+        _require_finite_phase(self.phi)
 
     def number_factors(self, n: int) -> np.ndarray:
         """Factors g_j = exp(-i j^2 phi) for j = 0..n photons at the gate site."""

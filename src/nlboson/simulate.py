@@ -45,6 +45,10 @@ __all__ = [
     "run_rejection_sampling",
 ]
 
+# A kept mass below this is roundoff, not probability: an impossible heralding
+# pattern leaves ~1e-33, and rejection sampling cannot use anything near it.
+MIN_HERALDING_MASS = 1e-20
+
 
 @dataclass(frozen=True, eq=False)
 class SimulationSetup:
@@ -114,9 +118,10 @@ def build_setup(w, v, mode_x: int, input_state, gadget: GadgetSpec) -> Simulatio
 def postselected_distribution(setup: SimulationSetup) -> tuple[Distribution, float]:
     """Distribution over the first m modes given one photon per ancilla mode.
 
-    Returns (renormalized distribution, kept probability mass).  The heralded
-    amplitude of output T (with 1..1 on the ancillas) is sum_j g_j A_j(T):
-    the photon-number components A of W -> (mode x) -> V
+    Returns (renormalized distribution, kept probability mass); a kept mass
+    below MIN_HERALDING_MASS counts as zero and raises PostselectionError.
+    The heralded amplitude of output T (with 1..1 on the ancillas) is
+    sum_j g_j A_j(T): the photon-number components A of W -> (mode x) -> V
     (:func:`~nlboson.nonlinear.photon_number_components`) weighted by the
     gadget's heralded factors g_j = per(U^{j,1..1}) / j! for j = 0..n
     (:func:`~nlboson.gadget.heralded_factors`).  That equals the enlarged
@@ -134,9 +139,10 @@ def _heralded_distribution(space: StateSpace, components: np.ndarray,
     factors = heralded_factors(u_eff, components.shape[0] - 1)
     raw = np.abs(factors @ components) ** 2
     p_ps = float(raw.sum())
-    if p_ps <= 0.0:
+    if p_ps < MIN_HERALDING_MASS:
         raise PostselectionError(
-            "the heralding pattern has zero probability for this setup"
+            f"the heralding pattern has zero probability for this setup "
+            f"(kept mass {p_ps:.3g} < {MIN_HERALDING_MASS:g})"
         )
     return Distribution(space, raw / p_ps), p_ps
 

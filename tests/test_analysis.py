@@ -16,6 +16,7 @@ from nlboson import (
     enumerate_states,
     fraction_for_threshold,
     haar_unitary,
+    optimize_gadget,
     output_distribution,
     random_unitary_search,
     reference_gadget,
@@ -159,11 +160,11 @@ def test_amplitude_metrics_cases():
 
 
 def test_amplitude_metrics_argument_reduction():
-    # arguments 0.1 and 2*pi - 0.1 are only 0.2 apart on the circle
-    a = np.exp(1j * 0.1)
-    b = np.exp(1j * (2 * math.pi - 0.1))
+    # arguments 3 and -3 differ by 6 > pi, but are only 2*pi - 6 apart on the circle
+    a = np.exp(1j * 3.0)
+    b = np.exp(-1j * 3.0)
     _, darg = amplitude_metrics(a, b)
-    assert darg == pytest.approx(0.2)
+    assert darg == pytest.approx(2 * math.pi - 6.0)
 
 
 def test_amplitude_metrics_undefined_reference():
@@ -290,11 +291,11 @@ def test_experiment_reference_pathsum_matches_gadget(gadget_k1, gadget_k2):
 
 def test_experiment_deterministic_and_worker_independent(gadget_k1, gadget_k2):
     kwargs = dict(gadgets={1: gadget_k1, 2: gadget_k2})
-    a = tvd_bunching_experiment(2, [3, 4], [1, 2], 1.0, trials=2, seed=10, **kwargs)
-    b = tvd_bunching_experiment(2, [3, 4], [1, 2], 1.0, trials=2, seed=10, **kwargs)
+    a = tvd_bunching_experiment(2, [3, 4], [1, 2], math.pi / 2, trials=2, seed=10, **kwargs)
+    b = tvd_bunching_experiment(2, [3, 4], [1, 2], math.pi / 2, trials=2, seed=10, **kwargs)
     assert a == b
     c = tvd_bunching_experiment(
-        2, [3, 4], [1, 2], 1.0, trials=2, seed=10, workers=2, **kwargs
+        2, [3, 4], [1, 2], math.pi / 2, trials=2, seed=10, workers=2, **kwargs
     )
     assert a == c
 
@@ -396,9 +397,19 @@ def test_experiment_refuses_a_gadget_filed_under_another_k(gadget_k1, monkeypatc
                             gadgets={1: gadget_k1, 2: reference_gadget(3)})
 
 
+def test_experiment_refuses_a_gadget_of_another_phase(gadget_k2, monkeypatch):
+    _refuses_before_drawing(monkeypatch, ValueError,
+                            r"gadget map entry k=1 realises phi=0.3, not the experiment's",
+                            gadgets={1: optimize_gadget(1, 0.3), 2: gadget_k2})
+    # pi/2 gadgets in a phi = 0.3 study: the reference gadget (k = n) is checked too
+    with pytest.raises(ValueError, match=r"gadget map entry k=2 realises phi=1.5707963267948966"):
+        tvd_bunching_experiment(2, [3], [1], 0.3, trials=1, seed=1,
+                                gadgets={1: optimize_gadget(1, 0.3), 2: gadget_k2})
+
+
 def test_experiment_refuses_a_gadget_beyond_the_gate(gadget_k1, monkeypatch):
     ref = reference_gadget(2)
-    bad = GadgetSpec(2, ref.phi, 2 * ref.u_eff)
+    bad = GadgetSpec(ref.phi, 2 * ref.u_eff)
     _refuses_before_drawing(monkeypatch, NotUnitaryError, "gadget k=2",
                             gadgets={1: gadget_k1, 2: bad})
     # the reference gadget (k = n) is gated too, with k = n absent from k_list

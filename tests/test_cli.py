@@ -1,10 +1,13 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nlboson import GadgetSpec, analysis, reference_gadget, save_gadget, save_matrix
+from nlboson import GadgetSpec, __version__, analysis, optimize_gadget, reference_gadget
+from nlboson import save_gadget, save_matrix
 from nlboson import (
     NonlinearExperiment,
     SingleModePhase,
@@ -13,7 +16,7 @@ from nlboson import (
     nonlinear_distribution,
     write_distribution_csv,
 )
-from nlboson.cli import main
+from nlboson.cli import build_parser, main
 
 
 def write_identity(path, m=3):
@@ -147,7 +150,7 @@ def test_simulate_requires_gadget(tmp_path):
 def test_simulate_refuses_a_gadget_beyond_the_gate_and_writes_nothing(tmp_path, capsys):
     ref = reference_gadget(2)
     gadget = tmp_path / "bad.json"
-    save_gadget(gadget, GadgetSpec(2, ref.phi, 2 * ref.u_eff))
+    save_gadget(gadget, GadgetSpec(ref.phi, 2 * ref.u_eff))
     cfg = tmp_path / "exp.json"
     _write_experiment_config(cfg, gadget=gadget)
     out = tmp_path / "samples.csv"
@@ -331,6 +334,11 @@ def test_non_finite_phase_is_an_error_line(tmp_path, capsys, phi):
     assert err.startswith("error:") and f"phi={float(phi)}" in err
     assert not out.exists()
 
+    gadget = tmp_path / "g.json"  # a gadget file's own NaN or Infinity
+    gadget.write_text(json.dumps({"k": 1, "phi": float(phi), "u_eff": matrix_to_json(np.eye(2))}))
+    code = main(["gadget", "verify", "--gadget", str(gadget)])
+    _assert_error_line(capsys, code, f"phase phi must be finite, got phi={float(phi)}")
+
 
 def _assert_error_line(capsys, code, fragment):
     assert code == 1
@@ -486,3 +494,90 @@ def test_gadget_without_ancillas_is_an_error_line(tmp_path, capsys):
                  "--out", str(out)])
     _assert_error_line(capsys, code, "expected a square matrix of size >= 2")
     assert not out.exists()
+
+
+def test_simulate_refuses_a_gadget_of_another_phase_and_writes_nothing(tmp_path, capsys):
+    gadget = tmp_path / "g1.json"
+    save_gadget(gadget, optimize_gadget(1, 0.4))
+    cfg = tmp_path / "exp.json"
+    _write_experiment_config(cfg, gadget=gadget)  # phi = pi/4
+    out = tmp_path / "samples.csv"
+    argv = ["simulate", "--config", str(cfg), "--samples", "10", "--out", str(out)]
+    _assert_error_line(capsys, main(argv), "the gadget realises phi=0.4, not the experiment's "
+                                           f"phi={math.pi / 4!r}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "g1.json"]
+    _write_experiment_config(cfg, phi=0.4, gadget=gadget)
+    assert main(argv) == 0
+
+
+def test_simulate_refuses_a_heralding_mass_at_roundoff_level_and_writes_nothing(tmp_path,
+                                                                                capsys):
+    # the swap gadget never heralds; roundoff leaves a kept mass of ~4e-33
+    gadget = tmp_path / "swap.json"
+    save_gadget(gadget, GadgetSpec(math.pi / 2, np.array([[0.0, 1.0], [1.0, 0.0]])))
+    cfg = tmp_path / "exp.json"
+    _write_inline_config(cfg, np.eye(2), np.eye(2), input_state="1,0", phi=math.pi / 2,
+                         gadget=str(gadget))
+    out = tmp_path / "samples.csv"
+    code = main(["simulate", "--config", str(cfg), "--samples", "10", "--out", str(out)])
+    _assert_error_line(capsys, code, "the heralding pattern has zero probability")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "swap.json"]
+
+
+def _sidecar_inputs(tmp_path):
+    """Input files for one cheap run of every command that takes --out."""
+    save_matrix(tmp_path / "u.json", np.eye(2, dtype=complex))
+    _write_experiment_config(tmp_path / "exp.json", phi=math.pi / 2)
+    save_gadget(tmp_path / "ref2.json", reference_gadget(2))
+
+
+SIDECAR_RUNS = {
+    "permanent": ["permanent", "--matrix", "u.json"],
+    "distribution": ["distribution", "--unitary", "u.json", "--input", "1,1"],
+    "nonlinear-distribution": ["nonlinear-distribution", "--config", "exp.json"],
+    "gadget optimize": ["gadget", "optimize", "--k", "1"],
+    "gadget reference": ["gadget", "reference", "--k", "2"],
+    "simulate": ["simulate", "--config", "exp.json", "--gadget", "ref2.json",
+                 "--samples", "5"],
+    "experiment tvd-bunching": ["experiment", "tvd-bunching", "--n", "1", "--modes", "2",
+                                "--k", "1", "--trials", "1", "--reference", "pathsum"],
+    "analyze cumulative": ["analyze", "cumulative", "--n", "1", "--m", "2", "--units", "2"],
+    "analyze truncation": ["analyze", "truncation", "--n", "2", "--m", "2", "--units", "2"],
+    "analyze linear-search": ["analyze", "linear-search", "--config", "exp.json",
+                              "--iterations", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(SIDECAR_RUNS))
+def test_every_command_writes_one_sidecar_named_from_the_parser(tmp_path, monkeypatch,
+                                                                command):
+    monkeypatch.chdir(tmp_path)
+    _sidecar_inputs(tmp_path)
+    argv = SIDECAR_RUNS[command] + ["--out", "result.out"]
+    assert main(argv) == 0
+    meta = json.loads((tmp_path / "result.out.meta.json").read_text())
+    options = vars(build_parser().parse_args(argv))
+    expected = {k: v for k, v in options.items() if k not in ("func", "command")}
+    assert meta == {"command": command, "version": __version__, "config": expected}
+    assert list(meta["config"]) == sorted(expected)
+
+
+def test_no_sidecar_without_an_out_or_a_success(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _sidecar_inputs(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["permanent", "--matrix", "u.json"]) == 0
+    assert main(["gadget", "verify", "--gadget", "ref2.json", "--tol", "1e-9"]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_every_readme_cli_example_parses():
+    # the documented flags are part of the interface
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command-line interface", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines() if line.startswith("nlboson ")]
+    assert len(lines) == 11
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line

@@ -106,6 +106,11 @@ def test_zero_modes_rejected():
         space_size(0, 1)
 
 
+def test_negative_photon_count_rejected():
+    with pytest.raises(DimensionError, match="photon count must be >= 0, got -1"):
+        space_size(3, -1)
+
+
 def test_space_guard():
     with pytest.raises(StateSpaceTooLargeError):
         enumerate_states(100, 10)  # ~4.3e13 states

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from nlboson import (
     haar_unitary,
     heralded_factors,
     load_gadget,
+    matrix_to_json,
     optimize_gadget,
     permanent,
     permanent_naive,
@@ -29,6 +31,7 @@ from nlboson import (
     verify_gadget,
 )
 from nlboson import gadget
+from nlboson.cli import main
 from nlboson.gadget import (
     _expanded_permanent_gradients,
     _expanded_permanents,
@@ -294,7 +297,7 @@ def test_objective_matches_residual_norm_and_is_nonnegative():
     rng = np.random.default_rng(50)
     for _ in range(5):
         u = _matrix_from_raw(_random_raw(3, rng), 3)
-        d = GadgetSpec(2, 0.7, u).residual
+        d = GadgetSpec(0.7, u).residual
         res = gadget_residuals(u, 0.7)
         assert d >= 0.0
         assert d == pytest.approx(float(np.sum(np.abs(res) ** 2)), abs=1e-12)
@@ -356,6 +359,18 @@ def test_synthesis_rejects_an_empty_search(k, name):
 def test_synthesis_rejects_a_non_finite_phase(k, phi):
     with pytest.raises(ValueError, match="phi must be finite"):
         optimize_gadget(k, phi, starts=1, budget=1)
+    # nor can a gadget hold one, built directly or read from a file
+    with pytest.raises(ValueError, match=f"phase phi must be finite, got phi={phi}"):
+        GadgetSpec(phi, np.eye(k + 1))
+    obj = {"k": k, "phi": phi, "u_eff": matrix_to_json(np.eye(k + 1))}
+    with pytest.raises(ValueError, match=f"phase phi must be finite, got phi={phi}"):
+        gadget_from_json(json.loads(json.dumps(obj)))
+
+
+@pytest.mark.parametrize("p_th", [0.0, 1.0, -0.1, 1.5])
+def test_synthesis_rejects_a_threshold_outside_the_open_unit_interval(p_th):
+    with pytest.raises(ValueError, match=f"success threshold must be in \\(0, 1\\), got {p_th}"):
+        optimize_gadget(2, math.pi / 2, p_th=p_th, starts=1, budget=1)
 
 
 def test_synthesis_k_range():
@@ -413,7 +428,6 @@ def test_verify_gadget_passes_for_synthesized(gadget_k2):
 
 def test_verify_gadget_fails_for_corrupted(gadget_k2):
     corrupted = GadgetSpec(
-        gadget_k2.k,
         gadget_k2.phi + 0.3,  # wrong phase target
         gadget_k2.u_eff,
     )
@@ -422,7 +436,7 @@ def test_verify_gadget_fails_for_corrupted(gadget_k2):
 
 def test_verify_gadget_reports_a_non_unitary_gadget_without_refusing_it():
     ref = reference_gadget(2)
-    doubled = GadgetSpec(ref.k, ref.phi, 2 * ref.u_eff)
+    doubled = GadgetSpec(ref.phi, 2 * ref.u_eff)
     report = verify_gadget(doubled, tol=1e-6)
     assert not report["ok"]
     assert report["unitarity_deviation"] == pytest.approx(3.0, abs=1e-2)
@@ -457,7 +471,7 @@ def test_gadget_json_rejects_a_value_of_the_wrong_type(obj):
 
 def test_gadget_spec_leaves_the_callers_matrix_alone():
     u = np.eye(2, dtype=complex)
-    spec = GadgetSpec(1, 0.0, u)
+    spec = GadgetSpec(0.0, u)
     assert u.flags.writeable
     assert not spec.u_eff.flags.writeable
     assert not np.shares_memory(spec.u_eff, u)
@@ -470,16 +484,17 @@ def test_gadget_spec_leaves_the_callers_matrix_alone():
 # ---------------------------------------------------------------------------
 
 def test_gadget_spec_holds_three_fields_and_derives_its_figures(gadget_k2):
-    assert [f.name for f in dataclasses.fields(GadgetSpec)] == ["k", "phi", "u_eff"]
+    assert [f.name for f in dataclasses.fields(GadgetSpec)] == ["phi", "u_eff"]
     assert gadget_k2.success_prob == success_probability(gadget_k2.u_eff)
     report = verify_gadget(gadget_k2)
     assert gadget_k2.residual == report["objective"]
     assert gadget_k2.success_prob == report["success_prob"]
-    for name in ("success_prob", "residual"):
+    assert type(gadget_k2.k) is int and gadget_k2.k == gadget_k2.u_eff.shape[0] - 1 == 2
+    for name in ("k", "success_prob", "residual"):
         with pytest.raises(AttributeError):
             setattr(gadget_k2, name, 0.5)
     with pytest.raises(TypeError):
-        GadgetSpec(2, gadget_k2.phi, gadget_k2.u_eff, 1.0, 0.0)
+        GadgetSpec(2, gadget_k2.phi, gadget_k2.u_eff)
 
 
 def test_replacing_the_phase_moves_the_objective(gadget_k2):
@@ -503,13 +518,37 @@ def test_an_edited_figure_in_a_gadget_file_is_recomputed(tmp_path, gadget_k2):
     (1, np.array([[math.inf, 0.0], [0.0, 1.0]]), ValueError, "non-finite"),
     (1, np.ones((2, 3)), DimensionError, "square matrix of size >= 2"),
     (0, np.ones((1, 1)), DimensionError, "square matrix of size >= 2"),
-    (2, np.eye(2), DimensionError, "k=2 gadget needs a 3x3 matrix"),
-    (1, np.eye(3), DimensionError, "k=1 gadget needs a 2x2 matrix"),
-    (-1, np.eye(2), DimensionError, "k=-1 gadget needs a 0x0 matrix"),
 ])
 def test_gadget_spec_refuses_a_matrix_it_cannot_hold(k, u, error, message):
+    # k is the ancilla count a gadget file claims; the matrix is refused first
     with pytest.raises(error, match=message):
-        GadgetSpec(k, 0.0, u)
+        GadgetSpec(0.0, u)
+    with pytest.raises(error, match=message):
+        gadget_from_json({"k": k, "phi": 0.0, "u_eff": matrix_to_json(u)})
+
+
+@pytest.mark.parametrize("k, size", [
+    pytest.param(k, size, id=f"k={k!r}-size={size}")
+    for k, size in [(2, 2), (1, 3), (-1, 2), (3, 3), (2.7, 3), (2.0, 3), (True, 2), ("2", 3)]
+])
+def test_gadget_file_refuses_a_k_its_matrix_does_not_give(tmp_path, capsys, k, size):
+    obj = {"k": k, "phi": 0.0, "u_eff": matrix_to_json(np.eye(size))}
+    message = f"malformed gadget JSON: k={k!r}, but its matrix gives k={size - 1}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gadget_from_json(obj)
+    path = tmp_path / "gadget.json"
+    path.write_text(json.dumps(obj))
+    assert main(["gadget", "verify", "--gadget", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed gadget JSON")
+
+
+def test_a_gadget_file_without_k_is_refused(gadget_k2):
+    obj = gadget_to_json(gadget_k2)
+    assert obj["k"] == 2 and gadget_from_json(obj).k == 2
+    del obj["k"]
+    with pytest.raises(ValueError, match="malformed gadget JSON: missing 'k'"):
+        gadget_from_json(obj)
 
 
 @pytest.mark.parametrize("k", [2, 3])

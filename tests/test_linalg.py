@@ -193,6 +193,26 @@ def test_matrix_from_states_rejects_photon_mismatch():
         matrix_from_states(np.eye(2), (2, 0), (1, 0))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: matrix_from_states(np.ones((2, 3)), (1, 0), (1, 0)),
+     r"expected a square mode unitary, got shape \(2, 3\)"),
+    (lambda: matrix_from_states(np.eye(2), (1, 0, 0), (1, 0)), "states have 3 and 2 modes"),
+    (lambda: permanents(np.ones((2, 2, 3))), r"expected a \(B, s, s\) stack"),
+    (lambda: permanents(np.ones((2, 2))), r"expected a \(B, s, s\) stack"),
+    (lambda: gathered_permanents(np.eye(3), np.zeros((2, 2), int), np.zeros((3, 2), int)),
+     "row and column index shapes differ"),
+    (lambda: matrix_to_json(np.ones(3)), r"expected a 2-D matrix, got shape \(3,\)"),
+    (lambda: direct_sum(np.ones(3), np.eye(2)), "direct_sum expects two 2-D matrices"),
+    (lambda: direct_sum(np.eye(2), np.ones((1, 2, 2))), "direct_sum expects two 2-D matrices"),
+    (lambda: haar_unitary(0, np.random.default_rng(0)), "mode count must be >= 1, got 0"),
+], ids=["matrix_from_states non-square", "matrix_from_states modes", "permanents 3-D",
+        "permanents 2-D", "gathered_permanents", "matrix_to_json", "direct_sum first",
+        "direct_sum second", "haar_unitary"])
+def test_linalg_entries_refuse_a_shape_they_cannot_use(call, message):
+    with pytest.raises(DimensionError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Haar sampling
 # ---------------------------------------------------------------------------
@@ -318,6 +338,9 @@ def test_matrix_json_rejects_malformed():
         matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "data": []})
+    # a JSON NaN parses as a float; the matrix is refused as non-finite
+    with pytest.raises(ValueError, match="matrix JSON contains non-finite entries"):
+        matrix_from_json(json.loads('{"rows": 1, "cols": 1, "data": [[NaN, 0]]}'))
 
 
 @pytest.mark.parametrize("data", [[5], [[1, "x"]], [[1]], [[1, 2, 3]], [None], [[True, 0]],

@@ -79,6 +79,30 @@ def test_amplitude_rejects_photon_mismatch():
         amplitude(np.eye(2), (1, 1), (1, 0))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: output_distribution(np.eye(3), (1, 1)), "state has 2 modes, matrix has 3"),
+    (lambda: verify_composition(np.eye(2), np.eye(3), (1, 0), (1, 0)),
+     r"factor shapes differ: \(2, 2\) vs \(3, 3\)"),
+    (lambda: verify_composition(np.eye(2), np.eye(2), (1, 1), (1, 0)),
+     "input and output photon numbers differ"),
+], ids=["output_distribution modes", "verify_composition shapes",
+        "verify_composition photons"])
+def test_linear_entries_refuse_mismatched_dimensions(call, message):
+    with pytest.raises(DimensionError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("probs, message", [
+    ([0.5, 0.5], r"expected 3 probabilities, got shape \(2,\)"),
+    ([0.5, math.nan, 0.5], "probabilities contain non-finite values"),
+    ([0.5, math.inf, 0.5], "probabilities contain non-finite values"),
+    ([0.6, -0.1, 0.5], "negative probability -1.000e-01"),
+], ids=["wrong length", "nan", "inf", "negative"])
+def test_distribution_refuses_probabilities_it_cannot_hold(probs, message):
+    with pytest.raises(ValueError, match=message):
+        Distribution(enumerate_states(2, 2), probs)
+
+
 # ---------------------------------------------------------------------------
 # distributions
 # ---------------------------------------------------------------------------
@@ -247,3 +271,17 @@ def test_csv_reader_rejects_rows_out_of_canonical_order(tmp_path):
         path.write_text("\n".join([header, *body]) + "\n")
         with pytest.raises(ValueError, match="canonical state ordering"):
             read_distribution_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty distribution CSV: no header"),
+    ("state,prob\n\"1,0\",1.0\n", "unexpected distribution CSV header"),
+    ("state,probability\n", "empty distribution CSV"),
+    ("state,probability\n\"1,0\"\n\"0,1\",0.0\n", r"row \['1,0'\] has no probability"),
+    ("state,probability\n\n", r"row \[\] has no probability"),
+], ids=["empty file", "bad header", "header only", "row without probability", "blank row"])
+def test_csv_reader_refuses_a_file_that_is_not_a_distribution(tmp_path, text, message):
+    path = tmp_path / "dist.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_distribution_csv(path)

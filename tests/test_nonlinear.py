@@ -281,8 +281,36 @@ def test_experiment_rejects_other_gate_kinds():
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
 def test_gate_rejects_a_non_finite_phase(phi):
-    with pytest.raises(ValueError, match="phi must be finite"):
-        SingleModePhase(1, phi)
+    w, v = haar_pair(3, 60)
+    s, t = (1, 1, 0), (0, 1, 1)
+    for call in (lambda: SingleModePhase(1, phi),
+                 lambda: phase_shifter(3, 2, phi),
+                 lambda: linearized_evolution(w, 2, phi, v),
+                 lambda: phase_gate_amplitude(w, 2, phi, v, s, t),
+                 lambda: phase_gate_amplitude_split(w, 2, phi, v, s, t)):
+        with pytest.raises(ValueError, match=f"phase phi must be finite, got phi={phi}"):
+            call()
+
+
+@pytest.mark.parametrize("t", [(1, 1), (1, 1, 1), (0, 2, 0, 0)],
+                         ids=["too few modes", "too many photons", "too many modes"])
+@pytest.mark.parametrize("entry", ["nonlinear_amplitude", "phase_gate_amplitude",
+                                   "phase_gate_amplitude_split"])
+def test_amplitude_entries_refuse_an_output_outside_the_space(entry, t):
+    w, v = haar_pair(3, 61)
+    s = (1, 1, 0)
+    calls = {
+        "nonlinear_amplitude": lambda: nonlinear_amplitude(_experiment(w, v, 2, s), t),
+        "phase_gate_amplitude": lambda: phase_gate_amplitude(w, 2, 0.3, v, s, t),
+        "phase_gate_amplitude_split": lambda: phase_gate_amplitude_split(w, 2, 0.3, v, s, t),
+    }
+    with pytest.raises(DimensionError, match="does not live in the 2-photon 3-mode space"):
+        calls[entry]()
+
+
+def test_linearized_evolution_refuses_unequal_networks():
+    with pytest.raises(DimensionError, match="W and V must be equal square matrices"):
+        linearized_evolution(np.eye(2), 1, 0.3, np.eye(3))
 
 
 # ---------------------------------------------------------------------------

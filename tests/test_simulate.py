@@ -9,6 +9,7 @@ from nlboson import (
     GadgetSpec,
     NonlinearExperiment,
     NotUnitaryError,
+    PostselectionError,
     SamplingBudgetError,
     SimulationSetup,
     SingleModePhase,
@@ -35,7 +36,7 @@ BS = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 def transparent_gadget(k: int) -> GadgetSpec:
     u = np.eye(k + 1, dtype=complex)
-    return GadgetSpec(k, 0.0, u)
+    return GadgetSpec(0.0, u)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,7 @@ def test_setup_accepts_the_rounded_reference_gadgets(k):
 
 
 def _scaled(spec: GadgetSpec, factor: float) -> GadgetSpec:
-    return GadgetSpec(spec.k, spec.phi, factor * spec.u_eff)
+    return GadgetSpec(spec.phi, factor * spec.u_eff)
 
 
 def test_setup_holds_its_five_inputs_and_derives_the_rest(gadget_k2):
@@ -130,6 +131,15 @@ def test_vacuum_at_gate_site_heralds_at_success_probability(gadget_k2):
     assert p_ps == pytest.approx(gadget_k2.success_prob, abs=1e-13)
 
 
+def test_a_heralding_mass_at_roundoff_level_counts_as_zero():
+    # the swap gadget sends the signal photon to the ancilla output, so no
+    # event heralds; roundoff leaves a kept mass of ~4e-33, not zero
+    swap = GadgetSpec(math.pi / 2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    setup = build_setup(np.eye(2), np.eye(2), 2, (1, 0), swap)
+    with pytest.raises(PostselectionError, match="zero probability"):
+        postselected_distribution(setup)
+
+
 def test_kept_plus_discarded_mass_is_one(gadget_k2):
     rng = np.random.default_rng(63)
     w, v = haar_unitary(3, rng), haar_unitary(3, rng)
@@ -150,7 +160,7 @@ def test_postselection_matches_enlarged_unitary_oracle(n, k, seed):
     rng = np.random.default_rng(seed)
     m = 3
     w, v = haar_unitary(m, rng), haar_unitary(m, rng)
-    gadget = GadgetSpec(k, 0.0, haar_unitary(k + 1, rng))
+    gadget = GadgetSpec(0.0, haar_unitary(k + 1, rng))
     s = (1,) * n + (0,) * (m - n)
     setup = build_setup(w, v, int(rng.integers(1, m + 1)), s, gadget)
     dist, p_ps = postselected_distribution(setup)
@@ -238,6 +248,13 @@ def test_rejection_sampling_budget_abort(gadget_k2):
     with pytest.raises(SamplingBudgetError) as err:
         run_rejection_sampling(setup, 10_000, np.random.default_rng(72), trial_budget=500)
     assert err.value.trials == 500
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_rejection_sampling_needs_a_positive_sample_count(gadget_k2, n_samples):
+    setup = build_setup(np.eye(3), np.eye(3), 2, (1, 1, 0), gadget_k2)
+    with pytest.raises(ValueError, match="n_samples must be positive"):
+        run_rejection_sampling(setup, n_samples, np.random.default_rng(0))
 
 
 def _rejection_case(gadget, seed):
