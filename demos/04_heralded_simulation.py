@@ -19,7 +19,10 @@ rng = np.random.default_rng(42)
 w, v = nb.haar_unitary(m, rng), nb.haar_unitary(m, rng)
 s = (1, 1, 1, 0, 0)
 
-exact = nb.nonlinear_distribution(nb.NonlinearExperiment(w, v, nb.SingleModePhase(x, phi), s))
+# one experiment: its photon-number components are computed once and shared
+# by the exact distribution and every heralded one below
+exp = nb.NonlinearExperiment(w, v, nb.SingleModePhase(x, phi), s)
+exact = nb.nonlinear_distribution(exp)
 
 print(f"system: {n} photons in {m} modes, gate on mode {x}, phi = pi/2\n")
 
@@ -31,7 +34,7 @@ gadgets = {
     2: nb.optimize_gadget(2, phi, 0.15, starts=100, rng=np.random.default_rng(11)),
     3: nb.optimize_gadget(3, phi, 0.02, starts=100, rng=np.random.default_rng(23)),
 }
-setups = {k: nb.build_setup(w, v, x, s, g) for k, g in gadgets.items()}
+setups = {k: nb.SimulationSetup(exp, g) for k, g in gadgets.items()}
 
 print("ancillas  heralding mass  TVD to exact")
 for k, setup in setups.items():

@@ -15,20 +15,10 @@ import numpy as np
 
 from .errors import DimensionError
 from .fock import FockState, as_state
-from .gadget import (
-    MAX_ANCILLAS,
-    GadgetSpec,
-    _require_usable_gadget,
-    optimize_gadget,
-)
+from .gadget import MAX_ANCILLAS, GadgetSpec, _require_gadget_for, optimize_gadget
 from .linalg import _checked_mode, haar_unitary
-from .linear import Distribution, _unit_sum_distribution, output_distribution
-from .nonlinear import (
-    NonlinearExperiment,
-    SingleModePhase,
-    nonlinear_distribution,
-    photon_number_components,
-)
+from .linear import Distribution, output_distribution
+from .nonlinear import NonlinearExperiment, SingleModePhase, nonlinear_distribution
 from .simulate import _heralded_distribution
 
 __all__ = [
@@ -234,13 +224,13 @@ def _experiment_trial(args) -> list[ExperimentRecord]:
     v = haar_unitary(m, rng)
     x = mode_x if mode_x is not None else default_gate_mode(m)
     s = _single_photons(n, m)
+    exp = NonlinearExperiment(w, v, SingleModePhase(x, phi), s)
     # one set of photon-number components serves the reference and every k
-    space, components = photon_number_components(w, v, x, s)
+    space, components = exp.components
     if reference == "gadget":
         exact, _ = _heralded_distribution(space, components, gadgets[n].u_eff)
     else:  # "pathsum", checked by tvd_bunching_experiment
-        amps = SingleModePhase(x, phi).number_factors(n) @ components
-        exact = _unit_sum_distribution(space, amps, w, v)
+        exact = nonlinear_distribution(exp)
     intermediate = output_distribution(w, s)
     records = []
     for k in k_list:
@@ -288,8 +278,8 @@ def tvd_bunching_experiment(
     factor vectors applied to them.
 
     Each gadget it uses must sit under its own ancilla count in `gadgets`,
-    target the experiment's `phi` exactly and pass the gadget gate,
-    :data:`nlboson.gadget.MAX_GADGET_DEVIATION`.
+    pass the gadget gate, :data:`nlboson.gadget.MAX_GADGET_DEVIATION`, and
+    target the experiment's `phi` exactly.
     """
     n = int(n)
     if n < 0:
@@ -326,12 +316,7 @@ def tvd_bunching_experiment(
             raise DimensionError(
                 f"gadget map entry k={k} holds a k={gadgets[k].k} gadget"
             )
-        if gadgets[k].phi != phi:
-            raise ValueError(
-                f"gadget map entry k={k} realises phi={gadgets[k].phi!r}, "
-                f"not the experiment's phi={phi!r}"
-            )
-        _require_usable_gadget(gadgets[k].u_eff, f"gadget k={k}")
+        _require_gadget_for(gadgets[k], phi, f"gadget map entry k={k}")
     tasks = [
         (n, m, k_list, float(phi), trial, int(seed), mode_x, dict(gadgets), reference)
         for m in m_list

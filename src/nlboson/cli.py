@@ -46,7 +46,7 @@ from .nonlinear import (
     linearized_evolution,
     nonlinear_distribution,
 )
-from .simulate import build_setup, postselected_distribution, run_rejection_sampling
+from .simulate import SimulationSetup, postselected_distribution, run_rejection_sampling
 
 DEFAULT_PHI = math.pi / 2
 
@@ -206,12 +206,7 @@ def _cmd_simulate(args) -> int:
     gadget_path = args.gadget or gadget_ref
     if gadget_path is None:
         raise ValueError("no gadget given: pass --gadget or a 'gadget' config field")
-    spec = load_gadget(gadget_path)
-    setup = build_setup(exp.w, exp.v, exp.gate.mode, exp.input_state, spec)
-    if spec.phi != exp.gate.phi:
-        raise ValueError(
-            f"the gadget realises phi={spec.phi!r}, not the experiment's phi={exp.gate.phi!r}"
-        )
+    setup = SimulationSetup(exp, load_gadget(gadget_path))
     _, p_ps = postselected_distribution(setup)
     rng = np.random.default_rng([args.seed, 2])
     samples, stats = run_rejection_sampling(setup, args.samples, rng)

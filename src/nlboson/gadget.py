@@ -38,6 +38,7 @@ from .errors import DimensionError, GadgetSynthesisError
 from .linalg import (
     _mesh_unitary,
     _mesh_unitary_derivatives,
+    _read_only_copy,
     _require_finite_phase,
     _ryser_gray,
     matrix_from_json,
@@ -91,9 +92,7 @@ class GadgetSpec:
 
     def __post_init__(self):
         _require_finite_phase(self.phi)
-        u = _checked_gadget_matrix(self.u_eff).copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "u_eff", u)
+        object.__setattr__(self, "u_eff", _read_only_copy(_checked_gadget_matrix(self.u_eff)))
 
     @property
     def k(self) -> int:
@@ -122,6 +121,15 @@ def _require_usable_gadget(u_eff, context: str) -> None:
     """NotUnitaryError if `u_eff` deviates from unitarity by more than
     MAX_GADGET_DEVIATION, the gate of every circuit that embeds a gadget."""
     require_unitary(u_eff, MAX_GADGET_DEVIATION, context)
+
+
+def _require_gadget_for(spec: GadgetSpec, phi: float, context: str) -> None:
+    """Whether `spec` may stand in for the gate at `phi`: NotUnitaryError past
+    the gadget gate, then ValueError unless it realises `phi` exactly; `context`
+    names the gadget in the phase message."""
+    _require_usable_gadget(spec.u_eff, f"gadget k={spec.k}")
+    if spec.phi != phi:
+        raise ValueError(f"{context} realises phi={spec.phi!r}, not the experiment's phi={phi!r}")
 
 
 def heralded_factors(u_eff, n: int) -> np.ndarray:

@@ -59,6 +59,13 @@ def _as_square(mat) -> np.ndarray:
     return a
 
 
+def _read_only_copy(a: np.ndarray) -> np.ndarray:
+    """A copy of checked `a` that nobody can write, so it stays as checked."""
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 def permanent_naive(mat) -> complex:
     """Permanent by the defining permutation sum.
 

@@ -25,13 +25,16 @@ and the split form, which separates the linearizable part (the same circuit
 with a plain phase shifter in place of the gate) from bunching corrections
 with more than one photon at the gate site (:func:`phase_gate_amplitude_split`).
 
-Every entry to the sandwich, :class:`nlboson.simulate.SimulationSetup` included,
-checks it once with ``_checked_sandwich``: W and V m x m and unitary, the gate
-mode an integer in 1..m.  A :class:`NonlinearExperiment` is a checked sandwich.
+Every entry to the sandwich checks it once with ``_checked_sandwich``: W and V
+m x m and unitary, the gate mode an integer in 1..m.  A
+:class:`NonlinearExperiment` is a checked sandwich holding read-only copies of
+W and V, and computes its photon-number components once, on first use; a
+:class:`nlboson.simulate.SimulationSetup` is one experiment plus a gadget.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +51,7 @@ from .fock import (
 )
 from .linalg import (
     _checked_mode,
+    _read_only_copy,
     _require_finite_phase,
     matrix_from_states,
     permanent,
@@ -70,13 +74,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SingleModePhase:
-    """exp(-i * n^2 * phi) on one mode; `mode` is 1-based."""
+    """exp(-i * n^2 * phi) on one mode; `mode` is 1-based, stored as an int."""
 
     mode: int
     phi: float
 
     def __post_init__(self):
-        _checked_mode(self.mode, None, f"gate mode {self.mode}")
+        object.__setattr__(self, "mode", _checked_mode(self.mode, None, f"gate mode {self.mode}"))
         _require_finite_phase(self.phi)
 
     def number_factors(self, n: int) -> np.ndarray:
@@ -113,7 +117,8 @@ def _checked_output(output_state, m: int, n: int) -> FockState:
 
 @dataclass(frozen=True, eq=False)
 class NonlinearExperiment:
-    """Input state plus the W -> gate -> V sandwich, checked on construction."""
+    """Input state plus the W -> gate -> V sandwich, checked on construction;
+    W and V are kept as read-only copies, so a caller editing its arrays changes nothing."""
 
     w: np.ndarray
     v: np.ndarray
@@ -126,8 +131,8 @@ class NonlinearExperiment:
                 f"gate must be a SingleModePhase, got {type(self.gate).__name__}"
             )
         w, v, _, s = _checked_sandwich(self.w, self.v, self.gate.mode, self.input_state)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", _read_only_copy(w))
+        object.__setattr__(self, "v", _read_only_copy(v))
         object.__setattr__(self, "input_state", s)
 
     @property
@@ -141,6 +146,14 @@ class NonlinearExperiment:
     def space(self) -> StateSpace:
         _guard_space(self.m, self.n, "intermediate space")
         return enumerate_states(self.m, self.n)
+
+    @functools.cached_property
+    def components(self) -> tuple[StateSpace, np.ndarray]:
+        """``(space, A)`` of :func:`photon_number_components`, computed on first use
+        and kept read-only for the experiment's lifetime: (n+1) * len(space) * 16 B."""
+        space, a = _components(self.w, self.v, self.gate.mode, self.input_state)
+        a.setflags(write=False)
+        return space, a
 
 
 def nonlinear_amplitude(exp: NonlinearExperiment, output_state) -> complex:
@@ -271,10 +284,10 @@ def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state,
 def nonlinear_distribution(exp: NonlinearExperiment) -> Distribution:
     """Full output distribution of the three-step evolution.
 
-    The gate's factors on the photon-number components (n+1 linear passes).
-    The number-preserving gate keeps the evolution unitary, so the
-    probabilities sum to one.
+    The gate's factors on the experiment's photon-number components
+    (:attr:`NonlinearExperiment.components`).  The number-preserving gate
+    keeps the evolution unitary, so the probabilities sum to one.
     """
-    space, components = _components(exp.w, exp.v, exp.gate.mode, exp.input_state)
+    space, components = exp.components
     return _unit_sum_distribution(space, exp.gate.number_factors(exp.n) @ components,
                                   exp.w, exp.v)

@@ -11,11 +11,11 @@ Rejection sampling draws from the enlarged system, as the experiment does;
 the post-selected distribution is computed without it, as a single-mode
 diagonal layer on the photon-number components of :mod:`nlboson.nonlinear`.
 
-A :class:`SimulationSetup` checks itself when it is built: the sandwich as
-every entry of :mod:`nlboson.nonlinear` does, and the gadget against the one
-gadget gate, :data:`nlboson.gadget.MAX_GADGET_DEVIATION`.  A non-unitary W, V
-or gadget is refused before any sampling, and the enlarged system is derived
-from the checked parts rather than stored beside them.
+A :class:`SimulationSetup` is a checked :class:`~nlboson.nonlinear.NonlinearExperiment`
+plus a gadget that may stand in for its gate: one within the gadget gate,
+:data:`nlboson.gadget.MAX_GADGET_DEVIATION`, that realises the gate's phase.
+A non-unitary W, V or gadget is refused before any sampling, and the enlarged
+system is derived from the checked parts rather than stored beside them.
 """
 
 from __future__ import annotations
@@ -25,17 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PostselectionError, SamplingBudgetError
-from .fock import (
-    FockState,
-    StateSpace,
-    concat_states,
-    enumerate_states,
-    photon_count,
-)
-from .gadget import GadgetSpec, _require_usable_gadget, heralded_factors
+from .fock import FockState, StateSpace, concat_states, enumerate_states
+from .gadget import GadgetSpec, _require_gadget_for, heralded_factors
 from .linalg import direct_sum
 from .linear import Distribution, _amplitudes_to_all, _guard_space, _inverse_sample
-from .nonlinear import _checked_sandwich, _components
+from .nonlinear import NonlinearExperiment, SingleModePhase
 
 __all__ = [
     "SimulationSetup",
@@ -52,38 +46,31 @@ MIN_HERALDING_MASS = 1e-20
 
 @dataclass(frozen=True, eq=False)
 class SimulationSetup:
-    """The enlarged linear system standing in for one non-linear experiment.
+    """A non-linear experiment and the gadget standing in for its gate.
 
-    Checked on construction: the W -> (mode x) -> V sandwich as every entry of
-    :mod:`nlboson.nonlinear` checks it, and the gadget gate of
-    :mod:`nlboson.gadget`.  The enlarged unitary and input are derived from
-    the five fields, so they cannot disagree with them.
+    The experiment checked its sandwich when it was built; the gadget is
+    checked on construction, first against the gadget gate of
+    :mod:`nlboson.gadget` (NotUnitaryError), then for realising the gate's
+    phase exactly (ValueError).  The enlarged unitary and input are derived
+    from the two fields, so they cannot disagree with them.
 
-    Gadget port 1 attaches to mode `mode_x` (1-based); ancilla ports attach to
+    Gadget port 1 attaches to the gate mode (1-based); ancilla ports attach to
     modes m+1..m+k in ascending order.
     """
 
-    w: np.ndarray
-    v: np.ndarray
-    mode_x: int
-    input_state: FockState
+    experiment: NonlinearExperiment
     gadget: GadgetSpec
 
     def __post_init__(self):
-        w, v, x, s = _checked_sandwich(self.w, self.v, self.mode_x, self.input_state)
-        _require_usable_gadget(self.gadget.u_eff, f"gadget k={self.gadget.k}")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "mode_x", x)
-        object.__setattr__(self, "input_state", s)
+        _require_gadget_for(self.gadget, self.experiment.gate.phi, "the gadget")
 
     @property
     def m(self) -> int:
-        return len(self.input_state)
+        return self.experiment.m
 
     @property
     def n(self) -> int:
-        return photon_count(self.input_state)
+        return self.experiment.n
 
     @property
     def k(self) -> int:
@@ -92,27 +79,29 @@ class SimulationSetup:
     @property
     def enlarged_unitary(self) -> np.ndarray:
         """(W + id on ancillas), the embedded gadget, then (V + id)."""
-        m, k = self.m, self.k
-        ports = [self.mode_x - 1] + list(range(m, m + k))
+        exp, m, k = self.experiment, self.m, self.k
+        ports = [exp.gate.mode - 1] + list(range(m, m + k))
         embedded = np.eye(m + k, dtype=complex)
         embedded[np.ix_(ports, ports)] = self.gadget.u_eff
         eye_k = np.eye(k, dtype=complex)
-        return direct_sum(self.w, eye_k) @ embedded @ direct_sum(self.v, eye_k)
+        return direct_sum(exp.w, eye_k) @ embedded @ direct_sum(exp.v, eye_k)
 
     @property
     def enlarged_input(self) -> FockState:
         """The input state with one photon appended per ancilla mode."""
-        return concat_states(self.input_state, (1,) * self.k)
+        return concat_states(self.experiment.input_state, (1,) * self.k)
 
 
 def build_setup(w, v, mode_x: int, input_state, gadget: GadgetSpec) -> SimulationSetup:
-    """The checked :class:`SimulationSetup` of one heralded simulation.
+    """The checked :class:`SimulationSetup` of one heralded simulation, its
+    gate at mode `mode_x` with the gadget's phase.
 
     Raises DimensionError for mismatched shapes or a gate mode that is not an
     integer in 1..m, and NotUnitaryError for a non-unitary W or V or a gadget
     beyond :data:`nlboson.gadget.MAX_GADGET_DEVIATION`.
     """
-    return SimulationSetup(w, v, mode_x, input_state, gadget)
+    gate = SingleModePhase(mode_x, gadget.phi)
+    return SimulationSetup(NonlinearExperiment(w, v, gate, input_state), gadget)
 
 
 def postselected_distribution(setup: SimulationSetup) -> tuple[Distribution, float]:
@@ -121,15 +110,15 @@ def postselected_distribution(setup: SimulationSetup) -> tuple[Distribution, flo
     Returns (renormalized distribution, kept probability mass); a kept mass
     below MIN_HERALDING_MASS counts as zero and raises PostselectionError.
     The heralded amplitude of output T (with 1..1 on the ancillas) is
-    sum_j g_j A_j(T): the photon-number components A of W -> (mode x) -> V
-    (:func:`~nlboson.nonlinear.photon_number_components`) weighted by the
+    sum_j g_j A_j(T): the experiment's photon-number components A
+    (:attr:`~nlboson.nonlinear.NonlinearExperiment.components`) weighted by the
     gadget's heralded factors g_j = per(U^{j,1..1}) / j! for j = 0..n
     (:func:`~nlboson.gadget.heralded_factors`).  That equals the enlarged
     unitary's amplitude for every k, below, at and above n, without
     materializing the enlarged system; the kept mass is the sum of the
     squared moduli.
     """
-    space, components = _components(setup.w, setup.v, setup.mode_x, setup.input_state)
+    space, components = setup.experiment.components
     return _heralded_distribution(space, components, setup.gadget.u_eff)
 
 

@@ -416,6 +416,10 @@ def test_experiment_refuses_a_gadget_beyond_the_gate(gadget_k1, monkeypatch):
     with pytest.raises(NotUnitaryError, match="gadget k=2"):
         tvd_bunching_experiment(2, [3], [1], math.pi / 2, trials=1, seed=1,
                                 gadgets={1: gadget_k1, 2: bad})
+    # an entry that also targets another phase is refused by the gate first
+    with pytest.raises(NotUnitaryError, match="gadget k=2"):
+        tvd_bunching_experiment(2, [3], [1], math.pi / 2, trials=1, seed=1,
+                                gadgets={1: gadget_k1, 2: GadgetSpec(0.3, bad.u_eff)})
 
 
 def test_summary_and_csv(tmp_path, gadget_k1, gadget_k2):

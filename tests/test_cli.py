@@ -1,11 +1,13 @@
 import json
 import math
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlboson
 from nlboson import GadgetSpec, __version__, analysis, optimize_gadget, reference_gadget
 from nlboson import save_gadget, save_matrix
 from nlboson import (
@@ -571,6 +573,45 @@ def test_no_sidecar_without_an_out_or_a_success(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+def _spy(monkeypatch, module, name) -> list:
+    """Record the arguments of every call to `module.name`, through whichever
+    nlboson module binds it."""
+    original, calls = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    for owner in list(sys.modules.values()):
+        if owner.__name__.startswith("nlboson") and getattr(owner, name, None) is original:
+            monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def _network_checks(calls) -> list[str]:
+    contexts = [kwargs.get("context", args[2] if len(args) > 2 else "") for args, kwargs in calls]
+    return sorted(c for c in contexts if c in ("W", "V"))
+
+
+def test_each_network_is_checked_once_and_each_sandwich_decomposed_once(tmp_path,
+                                                                        monkeypatch):
+    save_gadget(tmp_path / "ref2.json", reference_gadget(2))
+    cfg = tmp_path / "exp.json"
+    _write_experiment_config(cfg, phi=math.pi / 2, gadget=tmp_path / "ref2.json")
+    checks = _spy(monkeypatch, nlboson.linalg, "require_unitary")
+    passes = _spy(monkeypatch, nlboson.nonlinear, "_components")
+    out = str(tmp_path / "samples.csv")
+    assert main(["simulate", "--config", str(cfg), "--samples", "5", "--out", out]) == 0
+    # the heralded mass and the exact reference share one components pass
+    assert (_network_checks(checks), len(passes)) == (["V", "W"], 1)
+    checks.clear()
+    passes.clear()
+    out = str(tmp_path / "search.csv")
+    argv = ["analyze", "linear-search", "--config", str(cfg), "--iterations", "3", "--out", out]
+    assert main(argv) == 0
+    assert (_network_checks(checks), len(passes)) == (["V", "W"], 1)
+
+
 def test_every_readme_cli_example_parses():
     # the documented flags are part of the interface
     readme = (Path(__file__).parent.parent / "README.md").read_text()
@@ -581,3 +622,12 @@ def test_every_readme_cli_example_parses():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(block, "README.md quick start", "exec"), scope)
+    assert len(scope["samples"]) == 1000
+    assert scope["stats"].accepted == 1000

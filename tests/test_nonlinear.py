@@ -379,7 +379,8 @@ def _mode_entries():
         "tvd_bunching_experiment": lambda x: tvd_bunching_experiment(
             2, [3], [1], 0.3, trials=1, seed=0, mode_x=x, reference="pathsum",
             gadgets={1: optimize_gadget(1, 0.3)}),
-        "build_setup": lambda x: build_setup(w, v, x, s, reference_gadget(2)).mode_x,
+        "build_setup": lambda x: build_setup(
+            w, v, x, s, reference_gadget(2)).experiment.gate.mode,
     }
 
 

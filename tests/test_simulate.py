@@ -87,33 +87,65 @@ def _scaled(spec: GadgetSpec, factor: float) -> GadgetSpec:
     return GadgetSpec(spec.phi, factor * spec.u_eff)
 
 
-def test_setup_holds_its_five_inputs_and_derives_the_rest(gadget_k2):
-    assert [f.name for f in dataclasses.fields(SimulationSetup)] == [
-        "w", "v", "mode_x", "input_state", "gadget",
-    ]
+def test_setup_holds_an_experiment_and_a_gadget_and_derives_the_rest(gadget_k2):
+    assert [f.name for f in dataclasses.fields(SimulationSetup)] == ["experiment", "gadget"]
     w = np.eye(3, dtype=complex)
     setup = build_setup(w, w, 1, (1, 1, 0), gadget_k2)
+    exp = setup.experiment
+    assert (exp.gate.mode, exp.gate.phi, exp.input_state) == (1, gadget_k2.phi, (1, 1, 0))
+    assert (setup.m, setup.n, setup.k) == (3, 2, 2)
     with pytest.raises(TypeError):
         dataclasses.replace(setup, enlarged_unitary=2 * setup.enlarged_unitary)
-    with pytest.raises(NotUnitaryError, match="W"):
-        dataclasses.replace(setup, w=2 * setup.w)
-    # a replaced input reaches the derived system
-    moved = dataclasses.replace(setup, input_state=[0, 1, 1])
-    assert moved.input_state == (0, 1, 1)
+    # a replaced experiment reaches the derived system
+    moved = dataclasses.replace(setup, experiment=dataclasses.replace(exp, input_state=[0, 1, 1]))
     assert moved.enlarged_input == (0, 1, 1, 1, 1)
+    assert SimulationSetup(exp, gadget_k2).enlarged_input == (1, 1, 0, 1, 1)
+
+
+def test_setup_refuses_a_gadget_of_another_phase(gadget_k2, gadget_k2_pi4):
+    w = np.eye(3, dtype=complex)
+    exp = NonlinearExperiment(w, w, SingleModePhase(1, gadget_k2.phi), (1, 1, 0))
+    message = (f"the gadget realises phi={gadget_k2_pi4.phi!r}, "
+               f"not the experiment's phi={gadget_k2.phi!r}")
+    with pytest.raises(ValueError, match=message):
+        SimulationSetup(exp, gadget_k2_pi4)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(SimulationSetup(exp, gadget_k2), gadget=gadget_k2_pi4)
 
 
 def test_setup_refuses_a_gadget_beyond_the_gate():
     bad = _scaled(reference_gadget(2), 2.0)
     w = np.eye(3, dtype=complex)
-    with pytest.raises(NotUnitaryError, match="gadget") as err:
+    with pytest.raises(NotUnitaryError, match="gadget k=2") as err:
         build_setup(w, w, 1, (1, 1, 0), bad)
     assert err.value.tolerance == MAX_GADGET_DEVIATION
-    with pytest.raises(NotUnitaryError):
-        SimulationSetup(w, w, 1, (1, 1, 0), bad)
+    # the gate comes before the phase rule
+    exp = NonlinearExperiment(w, w, SingleModePhase(1, 0.3), (1, 1, 0))
+    with pytest.raises(NotUnitaryError, match="gadget k=2"):
+        SimulationSetup(exp, bad)
     # a small excess is refused too: deviation 0.0404
     with pytest.raises(NotUnitaryError):
         build_setup(w, w, 1, (1, 1, 0), _scaled(transparent_gadget(2), 1.02))
+
+
+def test_checked_values_keep_their_arrays_when_the_caller_edits_its_own(gadget_k2):
+    rng = np.random.default_rng(64)
+    w, v = haar_unitary(3, rng), haar_unitary(3, rng)
+    s = (1, 1, 0)
+    exp = NonlinearExperiment(w, v, SingleModePhase(2, gadget_k2.phi), s)
+    setup = build_setup(w, v, 2, s, gadget_k2)
+    before = nonlinear_distribution(exp).probs.copy()
+    before_kept = postselected_distribution(setup)[1]
+    w *= 2  # unchecked, this would give a "distribution" of total mass 16
+    np.testing.assert_array_equal(nonlinear_distribution(exp).probs, before)
+    assert postselected_distribution(setup)[1] == before_kept
+    # fresh values recompute from the stored matrices, not from a cache
+    again = NonlinearExperiment(exp.w, exp.v, exp.gate, s)
+    np.testing.assert_array_equal(nonlinear_distribution(again).probs, before)
+    fresh = SimulationSetup(dataclasses.replace(setup.experiment), gadget_k2)
+    assert postselected_distribution(fresh)[1] == before_kept
+    assert not (exp.w.flags.writeable or exp.v.flags.writeable)
+    assert not setup.experiment.w.flags.writeable
 
 
 # ---------------------------------------------------------------------------
