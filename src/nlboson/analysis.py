@@ -17,7 +17,7 @@ from .errors import DimensionError
 from .fock import FockState, as_state
 from .gadget import MAX_ANCILLAS, GadgetSpec, _require_gadget_for, optimize_gadget
 from .linalg import _checked_mode, haar_unitary
-from .linear import Distribution, output_distribution
+from .linear import Distribution, _amplitudes_to_all, _unit_sum_distribution, output_distribution
 from .nonlinear import NonlinearExperiment, SingleModePhase, nonlinear_distribution
 from .simulate import _heralded_distribution
 
@@ -231,7 +231,8 @@ def _experiment_trial(args) -> list[ExperimentRecord]:
         exact, _ = _heralded_distribution(space, components, gadgets[n].u_eff)
     else:  # "pathsum", checked by tvd_bunching_experiment
         exact = nonlinear_distribution(exp)
-    intermediate = output_distribution(w, s)
+    # the bunching masses read the distribution after W, from the checked exp.w
+    intermediate = _unit_sum_distribution(space, _amplitudes_to_all(exp.w, s, space), exp.w)
     records = []
     for k in k_list:
         dist_k, p_ps = _heralded_distribution(space, components, gadgets[k].u_eff)

@@ -212,14 +212,16 @@ def _cmd_simulate(args) -> int:
     samples, stats = run_rejection_sampling(setup, args.samples, rng)
 
     exact = nonlinear_distribution(exp)
-    counts = np.bincount(exact.space.ranks(samples), minlength=len(exact.space))
+    ranks = exact.space.ranks(samples)
+    counts = np.bincount(ranks, minlength=len(exact.space))
     empirical = Distribution(exact.space, counts / counts.sum())
 
     out = Path(args.out)
+    text = list(map(format_state, exact.space.occupations.tolist()))  # one per state, by rank
     with open(out, "w", newline="") as fh:
         fh.write("index,state,accepted_trial_count\n")
-        for i, (state, trials) in enumerate(zip(samples, stats.trial_counts)):
-            fh.write(f'{i},"{format_state(state)}",{trials}\n')
+        fh.writelines(f'{i},"{text[r]}",{trials}\n' for i, (r, trials)
+                      in enumerate(zip(ranks.tolist(), stats.trial_counts.tolist())))
     summary = {
         "p_postselect": p_ps,
         "tvd_vs_exact": tvd(empirical, exact),

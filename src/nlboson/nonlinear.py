@@ -25,11 +25,11 @@ and the split form, which separates the linearizable part (the same circuit
 with a plain phase shifter in place of the gate) from bunching corrections
 with more than one photon at the gate site (:func:`phase_gate_amplitude_split`).
 
-Every entry to the sandwich checks it once with ``_checked_sandwich``: W and V
-m x m and unitary, the gate mode an integer in 1..m.  A
-:class:`NonlinearExperiment` is a checked sandwich holding read-only copies of
-W and V, and computes its photon-number components once, on first use; a
-:class:`nlboson.simulate.SimulationSetup` is one experiment plus a gadget.
+Every entry to the sandwich builds one :class:`NonlinearExperiment`, which
+checks it on construction: W and V m x m and unitary, the gate mode an
+integer in 1..m.  The experiment holds read-only copies of W and V, guards its
+intermediate space, and computes its photon-number components once, on first
+use; a :class:`nlboson.simulate.SimulationSetup` is one experiment plus a gadget.
 """
 
 from __future__ import annotations
@@ -92,20 +92,6 @@ class SingleModePhase:
         return complex(math.cos(a), math.sin(a))
 
 
-def _checked_sandwich(w, v, mode_x, input_state) -> tuple[np.ndarray, np.ndarray, int, FockState]:
-    """(W, V, mode x, input state) of a W -> (mode x) -> V sandwich, or the error refusing it."""
-    s = as_state(input_state)
-    m = len(s)
-    w = np.asarray(w, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if w.shape != (m, m) or v.shape != (m, m):
-        raise DimensionError(
-            f"networks must be {m}x{m} for a {m}-mode input, got {w.shape} and {v.shape}"
-        )
-    x = _checked_mode(mode_x, m, f"gate mode {mode_x}")
-    return require_unitary(w, context="W"), require_unitary(v, context="V"), x, s
-
-
 def _checked_output(output_state, m: int, n: int) -> FockState:
     t = as_state(output_state)
     if len(t) != m or photon_count(t) != n:
@@ -130,9 +116,18 @@ class NonlinearExperiment:
             raise TypeError(
                 f"gate must be a SingleModePhase, got {type(self.gate).__name__}"
             )
-        w, v, _, s = _checked_sandwich(self.w, self.v, self.gate.mode, self.input_state)
-        object.__setattr__(self, "w", _read_only_copy(w))
-        object.__setattr__(self, "v", _read_only_copy(v))
+        s = as_state(self.input_state)
+        m = len(s)
+        w = np.asarray(self.w, dtype=complex)
+        v = np.asarray(self.v, dtype=complex)
+        if w.shape != (m, m) or v.shape != (m, m):
+            raise DimensionError(
+                f"networks must be {m}x{m} for a {m}-mode input, got {w.shape} and {v.shape}"
+            )
+        _checked_mode(self.gate.mode, m, f"gate mode {self.gate.mode}")
+        for name, network in (("W", w), ("V", v)):
+            checked = require_unitary(network, context=name)
+            object.__setattr__(self, name.lower(), _read_only_copy(checked))
         object.__setattr__(self, "input_state", s)
 
     @property
@@ -151,7 +146,13 @@ class NonlinearExperiment:
     def components(self) -> tuple[StateSpace, np.ndarray]:
         """``(space, A)`` of :func:`photon_number_components`, computed on first use
         and kept read-only for the experiment's lifetime: (n+1) * len(space) * 16 B."""
-        space, a = _components(self.w, self.v, self.gate.mode, self.input_state)
+        space = self.space()
+        passes = np.array([
+            _amplitudes_to_all(linearized_evolution(self.w, self.gate.mode, theta, self.v),
+                               self.input_state, space)
+            for theta in _fourier_phases(self.n)
+        ])
+        a = _inverse_dft(passes)
         a.setflags(write=False)
         return space, a
 
@@ -180,16 +181,15 @@ def phase_gate_amplitude(w, mode_x: int, phi: float, v, input_state, output_stat
     an inverse DFT to A_j(S -> T), then sum_j exp(-i j^2 phi) A_j.  Shares
     no code with the path sum of :func:`nonlinear_amplitude`.
     """
-    gate = SingleModePhase(mode_x, phi)
-    w, v, mode_x, s = _checked_sandwich(w, v, mode_x, input_state)
-    n = photon_count(s)
-    t = _checked_output(output_state, len(s), n)
+    exp = NonlinearExperiment(w, v, SingleModePhase(mode_x, phi), input_state)
+    s, n, x = exp.input_state, exp.n, exp.gate.mode
+    t = _checked_output(output_state, exp.m, n)
     passes = [
-        permanent(matrix_from_states(linearized_evolution(w, mode_x, theta, v), s, t))
+        permanent(matrix_from_states(linearized_evolution(exp.w, x, theta, exp.v), s, t))
         for theta in _fourier_phases(n)
     ]
     norm = math.sqrt(normalization_product(s) * normalization_product(t))
-    return complex(gate.number_factors(n) @ _inverse_dft(np.array(passes)) / norm)
+    return complex(exp.gate.number_factors(n) @ _inverse_dft(np.array(passes)) / norm)
 
 
 def linearized_evolution(w, mode_x: int, phi: float, v) -> np.ndarray:
@@ -227,27 +227,15 @@ def photon_number_components(w, v, mode_x: int, input_state) -> tuple[StateSpace
     normalized paths from `input_state` to ``space.states[i]`` that carry
     exactly j photons at mode `mode_x` (1-based) between W and V.  A
     single-mode diagonal layer with factors g_j has output amplitudes
-    ``g @ A``.
+    ``g @ A``.  The pair is the :attr:`NonlinearExperiment.components` of the
+    phi = 0 experiment, so A is read-only.
 
     Costs n+1 batched linear passes, one per unitary W F_theta V at
     theta_q = 2 pi q/(n+1), and an inverse DFT over q; every pass reads the
     labels and norms of the one shared space.
     """
-    w, v, mode_x, s = _checked_sandwich(w, v, mode_x, input_state)
-    return _components(w, v, mode_x, s)
-
-
-def _components(w: np.ndarray, v: np.ndarray, mode_x: int,
-                s: FockState) -> tuple[StateSpace, np.ndarray]:
-    """:func:`photon_number_components` of a checked sandwich."""
-    m, n = len(s), photon_count(s)
-    _guard_space(m, n, "photon_number_components")
-    space = enumerate_states(m, n)
-    passes = np.array([
-        _amplitudes_to_all(linearized_evolution(w, mode_x, theta, v), s, space)
-        for theta in _fourier_phases(n)
-    ])
-    return space, _inverse_dft(passes)
+    # A does not depend on phi, and phi = 0 makes the gate the identity layer
+    return NonlinearExperiment(w, v, SingleModePhase(mode_x, 0.0), input_state).components
 
 
 def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state,
@@ -258,24 +246,23 @@ def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state,
     with r_x > 1, the path term weighted by exp(-i r_x^2 phi) - exp(-i r_x phi).
     Equal to :func:`phase_gate_amplitude` to rounding.
     """
-    w, v, mode_x, s = _checked_sandwich(w, v, mode_x, input_state)
-    m, n = len(s), photon_count(s)
-    t = _checked_output(output_state, m, n)
-    ubar = linearized_evolution(w, mode_x, phi, v)
+    exp = NonlinearExperiment(w, v, SingleModePhase(mode_x, phi), input_state)
+    s, x = exp.input_state, exp.gate.mode
+    t = _checked_output(output_state, exp.m, exp.n)
+    ubar = linearized_evolution(exp.w, x, phi, exp.v)
     norm_s = math.sqrt(normalization_product(s))
     norm_t = math.sqrt(normalization_product(t))
     total = permanent(matrix_from_states(ubar, s, t)) / (norm_s * norm_t)
-    _guard_space(m, n, "phase_gate_amplitude_split")
-    for r in enumerate_states(m, n):
-        rx = r[mode_x - 1]
+    for r in exp.space():
+        rx = r[x - 1]
         if rx <= 1:
             continue
         phase_nl = complex(math.cos(rx * rx * phi), -math.sin(rx * rx * phi))
         phase_lin = complex(math.cos(rx * phi), -math.sin(rx * phi))
         total += (
-            permanent(matrix_from_states(w, s, r))
+            permanent(matrix_from_states(exp.w, s, r))
             * (phase_nl - phase_lin)
-            * permanent(matrix_from_states(v, r, t))
+            * permanent(matrix_from_states(exp.v, r, t))
             / (norm_s * normalization_product(r) * norm_t)
         )
     return complex(total)

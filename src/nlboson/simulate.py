@@ -48,8 +48,9 @@ MIN_HERALDING_MASS = 1e-20
 class SimulationSetup:
     """A non-linear experiment and the gadget standing in for its gate.
 
-    The experiment checked its sandwich when it was built; the gadget is
-    checked on construction, first against the gadget gate of
+    Each field must have its declared type (TypeError).  The experiment
+    checked its sandwich when it was built; the gadget is checked on
+    construction, first against the gadget gate of
     :mod:`nlboson.gadget` (NotUnitaryError), then for realising the gate's
     phase exactly (ValueError).  The enlarged unitary and input are derived
     from the two fields, so they cannot disagree with them.
@@ -62,6 +63,10 @@ class SimulationSetup:
     gadget: GadgetSpec
 
     def __post_init__(self):
+        for name, cls in (("experiment", NonlinearExperiment), ("gadget", GadgetSpec)):
+            value = getattr(self, name)
+            if not isinstance(value, cls):
+                raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
         _require_gadget_for(self.gadget, self.experiment.gate.phi, "the gadget")
 
     @property

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -45,3 +46,37 @@ def phi_grid_gadgets():
         )
         for phi in grid
     }
+
+
+# Counting tests spy on a function through every nlboson module that binds it.
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(module, name)`` records the arguments of every call to
+    `module.name`, through whichever nlboson module binds it, and returns the
+    list it appends them to."""
+
+    def install(module, name) -> list:
+        original, calls = getattr(module, name), []
+
+        def recorder(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        for owner in list(sys.modules.values()):
+            if owner.__name__.startswith("nlboson") and getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, recorder)
+        return calls
+
+    return install
+
+
+def check_contexts(calls) -> list[str]:
+    """The sorted `context` arguments of recorded ``require_unitary`` calls."""
+    return sorted(kwargs.get("context", args[2] if len(args) > 2 else "") for args, kwargs in calls)
+
+
+def network_checks(calls) -> list[str]:
+    """The checks of a sandwich's W and V among recorded ``require_unitary`` calls."""
+    return [c for c in check_contexts(calls) if c in ("W", "V")]

@@ -27,8 +27,10 @@ from nlboson import (
     tvd_bunching_experiment,
     write_records_csv,
 )
-from nlboson import analysis
+from nlboson import analysis, linalg
 from nlboson.linear import Distribution
+
+from .conftest import check_contexts
 
 BS = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -420,6 +422,15 @@ def test_experiment_refuses_a_gadget_beyond_the_gate(gadget_k1, monkeypatch):
     with pytest.raises(NotUnitaryError, match="gadget k=2"):
         tvd_bunching_experiment(2, [3], [1], math.pi / 2, trials=1, seed=1,
                                 gadgets={1: gadget_k1, 2: GadgetSpec(0.3, bad.u_eff)})
+
+
+def test_each_trial_checks_its_networks_once(gadget_k1, gadget_k2, spy):
+    checks = spy(linalg, "require_unitary")
+    tvd_bunching_experiment(2, [3], [1, 2], math.pi / 2, trials=3, seed=11,
+                            gadgets={1: gadget_k1, 2: gadget_k2})
+    # W and V once per trial; the bunching masses reuse the checked W
+    networks = [c for c in check_contexts(checks) if not c.startswith("gadget")]
+    assert networks == ["V"] * 3 + ["W"] * 3
 
 
 def test_summary_and_csv(tmp_path, gadget_k1, gadget_k2):

@@ -1,7 +1,6 @@
 import json
 import math
 import shlex
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,8 @@ from nlboson import (
     write_distribution_csv,
 )
 from nlboson.cli import build_parser, main
+
+from .conftest import network_checks
 
 
 def write_identity(path, m=3):
@@ -573,43 +574,23 @@ def test_no_sidecar_without_an_out_or_a_success(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
-def _spy(monkeypatch, module, name) -> list:
-    """Record the arguments of every call to `module.name`, through whichever
-    nlboson module binds it."""
-    original, calls = getattr(module, name), []
-
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return original(*args, **kwargs)
-
-    for owner in list(sys.modules.values()):
-        if owner.__name__.startswith("nlboson") and getattr(owner, name, None) is original:
-            monkeypatch.setattr(owner, name, spy)
-    return calls
-
-
-def _network_checks(calls) -> list[str]:
-    contexts = [kwargs.get("context", args[2] if len(args) > 2 else "") for args, kwargs in calls]
-    return sorted(c for c in contexts if c in ("W", "V"))
-
-
-def test_each_network_is_checked_once_and_each_sandwich_decomposed_once(tmp_path,
-                                                                        monkeypatch):
+def test_each_network_is_checked_once_and_each_sandwich_decomposed_once(tmp_path, spy):
     save_gadget(tmp_path / "ref2.json", reference_gadget(2))
     cfg = tmp_path / "exp.json"
     _write_experiment_config(cfg, phi=math.pi / 2, gadget=tmp_path / "ref2.json")
-    checks = _spy(monkeypatch, nlboson.linalg, "require_unitary")
-    passes = _spy(monkeypatch, nlboson.nonlinear, "_components")
+    checks = spy(nlboson.linalg, "require_unitary")
+    # one inverse DFT per photon-number decomposition
+    passes = spy(nlboson.nonlinear, "_inverse_dft")
     out = str(tmp_path / "samples.csv")
     assert main(["simulate", "--config", str(cfg), "--samples", "5", "--out", out]) == 0
     # the heralded mass and the exact reference share one components pass
-    assert (_network_checks(checks), len(passes)) == (["V", "W"], 1)
+    assert (network_checks(checks), len(passes)) == (["V", "W"], 1)
     checks.clear()
     passes.clear()
     out = str(tmp_path / "search.csv")
     argv = ["analyze", "linear-search", "--config", str(cfg), "--iterations", "3", "--out", out]
     assert main(argv) == 0
-    assert (_network_checks(checks), len(passes)) == (["V", "W"], 1)
+    assert (network_checks(checks), len(passes)) == (["V", "W"], 1)
 
 
 def test_every_readme_cli_example_parses():

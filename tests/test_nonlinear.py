@@ -8,6 +8,7 @@ from nlboson import (
     NonlinearExperiment,
     NotUnitaryError,
     SingleModePhase,
+    StateSpaceTooLargeError,
     amplitude,
     bunching_at_site,
     build_setup,
@@ -305,6 +306,25 @@ def test_amplitude_entries_refuse_an_output_outside_the_space(entry, t):
         "phase_gate_amplitude_split": lambda: phase_gate_amplitude_split(w, 2, 0.3, v, s, t),
     }
     with pytest.raises(DimensionError, match="does not live in the 2-photon 3-mode space"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("entry", [
+    "photon_number_components", "nonlinear_distribution", "nonlinear_amplitude",
+    "phase_gate_amplitude_split",
+])
+def test_non_linear_routes_share_one_intermediate_space_guard(entry):
+    # n=5 photons in m=50 modes span 3,162,510 states, over the 10^6 guard
+    eye = np.eye(50, dtype=complex)
+    s = (1,) * 5 + (0,) * 45
+    calls = {
+        "photon_number_components": lambda: photon_number_components(eye, eye, 1, s),
+        "nonlinear_distribution": lambda: nonlinear_distribution(_experiment(eye, eye, 1, s)),
+        "nonlinear_amplitude": lambda: nonlinear_amplitude(_experiment(eye, eye, 1, s), s),
+        "phase_gate_amplitude_split": lambda: phase_gate_amplitude_split(eye, 1, 0.3, eye, s, s),
+    }
+    with pytest.raises(StateSpaceTooLargeError,
+                       match=r"^intermediate space: n=5 photons in m=50 modes span 3162510"):
         calls[entry]()
 
 

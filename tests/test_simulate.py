@@ -128,6 +128,17 @@ def test_setup_refuses_a_gadget_beyond_the_gate():
         build_setup(w, w, 1, (1, 1, 0), _scaled(transparent_gadget(2), 1.02))
 
 
+def test_setup_refuses_fields_of_the_wrong_type(gadget_k2):
+    w = np.eye(3, dtype=complex)
+    exp = NonlinearExperiment(w, w, SingleModePhase(1, gadget_k2.phi), (1, 1, 0))
+    with pytest.raises(TypeError, match="experiment must be a NonlinearExperiment, got ndarray"):
+        SimulationSetup(np.eye(2), reference_gadget(2))
+    with pytest.raises(TypeError, match="gadget must be a GadgetSpec, got ndarray"):
+        SimulationSetup(exp, np.eye(3))
+    with pytest.raises(TypeError, match="experiment must be a NonlinearExperiment"):
+        dataclasses.replace(SimulationSetup(exp, gadget_k2), experiment=exp.gate)
+
+
 def test_checked_values_keep_their_arrays_when_the_caller_edits_its_own(gadget_k2):
     rng = np.random.default_rng(64)
     w, v = haar_unitary(3, rng), haar_unitary(3, rng)
