@@ -138,6 +138,17 @@ def output_distribution(U, input_state) -> Distribution:
     return _unit_sum_distribution(space, _amplitudes_to_all(u, s, space), u)
 
 
+def _checked_count(value, name: str, minimum: int) -> int:
+    """A count as an int, or ValueError naming it `name`: any integer type
+    passes (numpy's too), a float does not; it must be at least `minimum`
+    (0 or 1)."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be {'positive' if minimum else 'non-negative'}, got {value}")
+    return int(value)
+
+
 def _inverse_sample(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
@@ -147,11 +158,15 @@ def _inverse_sample(probs: np.ndarray, count: int, rng: np.random.Generator) -> 
 
 
 def sample_exact(U, input_state, count: int, rng: np.random.Generator) -> list[FockState]:
-    """i.i.d. draws from the exact output distribution (inversion sampling)."""
+    """i.i.d. draws from the exact output distribution (inversion sampling).
+
+    `count` must be a non-negative integer (ValueError); 0 gives no draws.
+    """
+    count = _checked_count(count, "count", 0)
     s = as_state(input_state)
     _guard_space(len(s), photon_count(s), "sample_exact")
     dist = output_distribution(U, s)
-    idx = _inverse_sample(dist.probs, int(count), rng)
+    idx = _inverse_sample(dist.probs, count, rng)
     return list(map(tuple, dist.space.occupations[idx].tolist()))
 
 

@@ -173,6 +173,20 @@ def test_sampling_tvd_decreases_with_sample_size():
     assert tvds == sorted(tvds, reverse=True)
 
 
+@pytest.mark.parametrize("count, message", [
+    (2.7, "count must be an integer, got 2.7"),
+    (-1, "count must be non-negative, got -1"),
+], ids=["float", "negative"])
+def test_sampling_refuses_a_count_that_is_not_a_non_negative_integer(count, message):
+    with pytest.raises(ValueError, match=message):
+        sample_exact(np.eye(2), (1, 0), count, np.random.default_rng(9))
+
+
+def test_sampling_takes_any_non_negative_integer_count():
+    assert sample_exact(np.eye(2), (1, 0), 0, np.random.default_rng(9)) == []
+    assert sample_exact(np.eye(2), (1, 0), np.int64(2), np.random.default_rng(9)) == [(1, 0)] * 2
+
+
 def test_sampling_space_guard():
     u = np.eye(50, dtype=complex)
     with pytest.raises(StateSpaceTooLargeError, match=r"sample_exact: n=5 photons in m=50 modes"):

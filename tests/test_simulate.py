@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from nlboson import (
     SingleModePhase,
     StateSpaceTooLargeError,
     build_setup,
+    default_gate_mode,
     haar_unitary,
     nonlinear_distribution,
     output_distribution,
@@ -25,9 +28,9 @@ from nlboson import (
     unitarity_deviation,
 )
 from nlboson.fock import enumerate_states
-from nlboson.gadget import MAX_GADGET_DEVIATION
+from nlboson.gadget import MAX_GADGET_DEVIATION, gadget_from_json
 from nlboson.linear import Distribution, _inverse_sample
-from nlboson.simulate import _enlarged_output_probs
+from nlboson.simulate import _enlarged_output_probs, _heralded_classifier
 
 from .oracles import operator_expansion_amplitude, rejection_loop
 
@@ -300,11 +303,27 @@ def test_rejection_sampling_needs_a_positive_sample_count(gadget_k2, n_samples):
         run_rejection_sampling(setup, n_samples, np.random.default_rng(0))
 
 
-def _rejection_case(gadget, seed):
+@pytest.mark.parametrize("n_samples, budget, message", [
+    (2.7, None, "n_samples must be an integer, got 2.7"),
+    ("5", None, "n_samples must be an integer, got '5'"),
+    # a fractional budget once left the loop spinning: past the integer part
+    # a chunk took int(0.5) = 0 draws and the trial count stopped growing
+    (5, 2.5, "trial_budget must be an integer, got 2.5"),
+    (5, 0, "trial_budget must be positive, got 0"),
+    (5, -5, "trial_budget must be positive, got -5"),
+], ids=["float-samples", "str-samples", "fractional-budget", "zero-budget", "negative-budget"])
+def test_rejection_sampling_refuses_a_count_that_is_not_a_positive_integer(
+        gadget_k2, n_samples, budget, message):
+    setup = build_setup(np.eye(3), np.eye(3), 2, (1, 1, 0), gadget_k2)
+    with pytest.raises(ValueError, match=message):
+        run_rejection_sampling(setup, n_samples, np.random.default_rng(0), trial_budget=budget)
+
+
+def _rejection_case(gadget, seed, m=3, state=(1, 1, 0)):
     """A setup, its enlarged space, raw probabilities and accept mask."""
     rng = np.random.default_rng(seed)
-    w, v = haar_unitary(3, rng), haar_unitary(3, rng)
-    setup = build_setup(w, v, 2, (1, 1, 0), gadget)
+    w, v = haar_unitary(m, rng), haar_unitary(m, rng)
+    setup = build_setup(w, v, default_gate_mode(m), state, gadget)
     space = enumerate_states(setup.m + setup.k, setup.n + setup.k)
     anc = (1,) * setup.k
     mask = np.array([st[setup.m:] == anc for st in space.states])
@@ -358,6 +377,74 @@ def test_rejection_chunks_match_per_draw_loop_on_a_chunks_last_draw(gadget_k2):
         assert _assert_matches_per_draw_loop(*case, in_first, seed, budget) == 4096
     # one more sample: the stream runs on into the next chunk
     assert _assert_matches_per_draw_loop(*case, in_first + 1, seed, 10**6) > 4096
+
+
+def test_rejection_chunks_match_per_draw_loop_at_the_benchmark_shape():
+    # n = 3, m = 5 with the committed exact k = 3 gadget and 5000 samples:
+    # about 250,000 raw draws at a ~2% heralding rate
+    path = Path(__file__).parent.parent / "perfbench" / "inputs" / "gadget_k3_pi2.json"
+    gadget = gadget_from_json(json.loads(path.read_text()))
+    case = _rejection_case(gadget, 79, m=5, state=(1, 1, 1, 0, 0))
+    assert _assert_matches_per_draw_loop(*case, 5000, 80, 10**6) > 100_000
+
+
+class _FixedDraws:
+    """A generator stand-in whose ``random`` returns the given draws."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, count):
+        assert count == len(self.u)
+        return self.u
+
+
+def _edge_draws(probs):
+    """0, 1 - 2^-53, every CDF boundary and the floats on either side of it."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    u = np.concatenate([[0.0, 1.0 - 2.0**-53], cdf, np.nextafter(cdf, 0.0),
+                        np.nextafter(cdf, 1.0)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _assert_classifier_matches_inversion(probs, mask, u) -> int:
+    """The classifier keeps exactly the draws whose inverse-sampled state is
+    heralded, with that state's rank; returns how many it kept."""
+    idx = _inverse_sample(probs, len(u), _FixedDraws(u))
+    pos, ranks = _heralded_classifier(probs, mask)(u)
+    want = np.flatnonzero(mask[idx])
+    assert pos.tolist() == want.tolist()
+    assert ranks.tolist() == idx[want].tolist()
+    return len(want)
+
+
+# (probabilities, heralded states); every zero-probability heralded state
+# owns an empty interval that no draw may land in
+_CLASSIFIER_CASES = {
+    "zero-probability-heralded-first-last-and-between": (
+        [0.0, 0.1, 0.2, 0.0, 0.3, 0.4, 0.0], [1, 0, 1, 1, 1, 0, 1]),
+    "adjacent-heralded-last-ends-cdf": (
+        [0.25, 0.125, 0.125, 0.5], [0, 1, 1, 1]),
+    "tiny-intervals-sharing-buckets": (
+        [1e-310, 1e-17, 3e-17, 0.5, 1e-300, 2e-16, 0.5, 1e-20], [1, 1, 0, 0, 1, 1, 0, 1]),
+    "none-heralded": ([0.2, 0.3, 0.5], [0, 0, 0]),
+    "all-heralded": ([0.2, 0.0, 0.3, 0.5], [1, 1, 1, 1]),
+    "one-state": ([1.0], [1]),
+}
+
+
+@pytest.mark.parametrize("probs, heralded", _CLASSIFIER_CASES.values(), ids=_CLASSIFIER_CASES)
+def test_heralded_classifier_matches_inversion_on_edge_draws(probs, heralded):
+    probs, mask = np.array(probs), np.array(heralded, dtype=bool)
+    u = np.concatenate([_edge_draws(probs), np.random.default_rng(81).random(4096)])
+    _assert_classifier_matches_inversion(probs, mask, u)
+
+
+def test_heralded_classifier_matches_inversion_on_an_enlarged_cdf(gadget_k2):
+    _, _, probs, mask = _rejection_case(gadget_k2, 82)
+    u = np.concatenate([_edge_draws(probs), np.random.default_rng(83).random(300 * 4096)])
+    assert _assert_classifier_matches_inversion(probs, mask, u) > 1000
 
 
 def test_rejection_sampling_enlarged_space_guard():
