@@ -14,9 +14,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .fock import FockState, as_state
-from .gadget import MAX_ANCILLAS, GadgetSpec, _require_gadget_for, optimize_gadget
-from .linalg import _checked_mode, haar_unitary
+from .fock import FockState, _checked_dimension, as_state
+from .gadget import GadgetSpec, _checked_ancillas, _require_gadget_for, optimize_gadget
+from .linalg import _checked_count, _checked_mode, haar_unitary
 from .linear import Distribution, _amplitudes_to_all, _unit_sum_distribution, output_distribution
 from .nonlinear import NonlinearExperiment, SingleModePhase, nonlinear_distribution
 from .simulate import _heralded_distribution
@@ -117,8 +117,7 @@ class TruncationResult:
 
 def _single_photons(n: int, m: int) -> FockState:
     """One photon in each of the first n of m modes."""
-    if n < 0:
-        raise DimensionError(f"photon number must be >= 0, got n={n}")
+    n, m = _checked_dimension(n, "n", 0), _checked_dimension(m, "m", 1)
     if n > m:
         raise DimensionError(f"need m >= n to inject single photons, got n={n}, m={m}")
     return as_state((1,) * n + (0,) * (m - n))
@@ -131,15 +130,10 @@ def truncated_mass_study(n: int, m: int, n_max: int, n_unit: int,
     Single photons enter the first n modes of `n_unit` Haar-random unitaries.
     """
     s = _single_photons(n, m)
-    if n_unit < 1:
-        raise ValueError(f"need at least one unitary, got n_unit={n_unit}")
-    if n_max < 0:
-        raise ValueError(f"occupation cap must be >= 0, got n_max={n_max}")
-    samples = np.empty(int(n_unit))
-    for i in range(int(n_unit)):
-        u = haar_unitary(m, rng)
-        dist = output_distribution(u, s)
-        samples[i] = 1.0 - _global_bunching_mass(dist, n_max)
+    n_unit = _checked_count(n_unit, "n_unit", 1)
+    n_max = _checked_count(n_max, "n_max", 0)
+    dists = (output_distribution(haar_unitary(m, rng), s) for _ in range(n_unit))
+    samples = np.array([1.0 - _global_bunching_mass(dist, n_max) for dist in dists])
     dof = 1 if len(samples) > 1 else 0
     return TruncationResult(float(samples.mean()), float(samples.std(ddof=dof)), samples)
 
@@ -157,18 +151,15 @@ def random_unitary_search(exp: NonlinearExperiment, iterations: int,
                           rng: np.random.Generator) -> SearchResult:
     """Haar-sample linear unitaries, tracking the one whose output
     distribution is closest (in TVD) to the non-linear evolution."""
-    if int(iterations) < 1:
-        raise ValueError(f"iterations must be positive, got iterations={iterations}")
+    iterations = _checked_count(iterations, "iterations", 1)
     target = nonlinear_distribution(exp)
-    best = math.inf
-    best_u = None
-    trace = np.empty(int(iterations))
-    for i in range(int(iterations)):
+    best, best_u = math.inf, None
+    trace = np.empty(iterations)
+    for i in range(iterations):
         u = haar_unitary(exp.m, rng)
         d = tvd(output_distribution(u, exp.input_state), target)
         if d < best:
-            best = d
-            best_u = u
+            best, best_u = d, u
         trace[i] = best
     return SearchResult(best, best_u, trace)
 
@@ -204,12 +195,7 @@ def default_gate_mode(m: int) -> int:
 def synthesize_gadgets(ks: Sequence[int], phi: float, seed: int, *,
                        starts: int = 60) -> dict[int, GadgetSpec]:
     """One gadget per ancilla count, each from its own derived random stream."""
-    ks = sorted(set(int(k) for k in ks))
-    bad = [k for k in ks if not 1 <= k <= MAX_ANCILLAS]
-    if bad:
-        raise DimensionError(
-            f"gadget synthesis supports ancilla counts 1..{MAX_ANCILLAS}, got k={bad[0]}"
-        )
+    ks = sorted(set(map(_checked_ancillas, ks)))
     out: dict[int, GadgetSpec] = {}
     for k in ks:
         rng = np.random.default_rng([seed, 1_000_003, k])
@@ -282,28 +268,19 @@ def tvd_bunching_experiment(
     pass the gadget gate, :data:`nlboson.gadget.MAX_GADGET_DEVIATION`, and
     target the experiment's `phi` exactly.
     """
-    n = int(n)
-    if n < 0:
-        raise DimensionError(f"photon number must be >= 0, got n={n}")
+    n = _checked_dimension(n, "n", 0)
+    m_list = [_checked_dimension(m, "m", 1) for m in m_list]
+    k_list = [_checked_dimension(k, "k", 1) for k in k_list]
     if reference not in ("gadget", "pathsum"):
         raise ValueError(f"unknown reference {reference!r} (use 'gadget' or 'pathsum')")
-    m_list = [int(m) for m in m_list]
-    too_few = [m for m in m_list if m < n]
-    if too_few:
-        raise DimensionError(
-            f"need m >= n to inject single photons, got n={n}, m={too_few[0]}"
-        )
-    k_list = [int(k) for k in k_list]
-    too_low = [k for k in k_list if k < 1]
-    if too_low:
-        raise DimensionError(f"ancilla counts must be >= 1, got k={too_low[0]}")
+    for m in m_list:
+        _single_photons(n, m)  # m >= n
     for name, values in (("m", m_list), ("k", k_list)):
         if len(set(values)) < len(values):
             raise ValueError(f"each {name} may be listed once, got {name}={values}")
-    if int(trials) < 1:
-        raise ValueError(f"need at least one trial, got trials={trials}")
-    if int(workers) < 1:
-        raise ValueError(f"need at least one worker, got workers={workers}")
+    trials = _checked_count(trials, "trials", 1)
+    workers = _checked_count(workers, "workers", 1)
+    seed = _checked_count(seed, "seed", 0)
     if mode_x is not None:
         mode_x = _checked_mode(mode_x, min(m_list), f"gate mode mode_x={mode_x}")
     needed = set(k_list) | ({n} if reference == "gadget" else set())
@@ -319,13 +296,13 @@ def tvd_bunching_experiment(
             )
         _require_gadget_for(gadgets[k], phi, f"gadget map entry k={k}")
     tasks = [
-        (n, m, k_list, float(phi), trial, int(seed), mode_x, dict(gadgets), reference)
+        (n, m, k_list, float(phi), trial, seed, mode_x, dict(gadgets), reference)
         for m in m_list
-        for trial in range(int(trials))
+        for trial in range(trials)
     ]
     records: list[ExperimentRecord] = []
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_experiment_trial, tasks, chunksize=4):
                 records.extend(chunk)
     else:

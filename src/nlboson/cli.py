@@ -38,7 +38,8 @@ from .gadget import (
     save_gadget,
     verify_gadget,
 )
-from .linalg import haar_unitary, load_matrix, matrix_from_json, permanent, permanent_naive
+from .linalg import (_checked_count, haar_unitary, load_matrix, matrix_from_json, permanent,
+                     permanent_naive)
 from .linear import Distribution, output_distribution, write_distribution_csv
 from .nonlinear import (
     NonlinearExperiment,
@@ -57,7 +58,12 @@ def _write_sidecar(args: argparse.Namespace) -> None:
     words = [args.command, getattr(args, f"{args.command}_command", None)]
     command = " ".join(word for word in words if word)
     meta = {"command": command, "version": __version__, "config": _config_dict(args)}
-    Path(args.out + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_json(Path(args.out + ".meta.json"), meta)
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    """The one layout of every summary and sidecar: indented, keys sorted."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _summary_path(out: Path) -> Path:
@@ -124,7 +130,7 @@ def _load_experiment(path: str, phi_override: float | None = None
     _validate_config(cfg, path)
     state = cfg["input_state"]
     s = parse_state(state) if isinstance(state, str) else as_state(state)
-    m = int(cfg.get("m", len(s)))
+    m = cfg.get("m", len(s))
     if m != len(s):
         raise ValueError(f"config m={m} but input_state has {len(s)} modes")
     seed = cfg.get("seed", 0)
@@ -138,7 +144,7 @@ def _load_experiment(path: str, phi_override: float | None = None
     w = realize("w_matrix", 0)
     v = realize("v_matrix", 1)
     phi = float(cfg.get("phi", DEFAULT_PHI)) if phi_override is None else phi_override
-    gate = SingleModePhase(int(cfg.get("mode_x", default_gate_mode(m))), phi)
+    gate = SingleModePhase(cfg.get("mode_x", default_gate_mode(m)), phi)
     return NonlinearExperiment(w, v, gate, s), cfg.get("gadget")
 
 
@@ -158,20 +164,18 @@ def _cmd_permanent(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
-    u = load_matrix(args.unitary)
-    dist = output_distribution(u, parse_state(args.input))
-    out = Path(args.out)
-    write_distribution_csv(dist, out)
-    print(f"wrote {len(dist.probs)} outcomes to {out}")
-    return 0
+    return _write_distribution(output_distribution(load_matrix(args.unitary),
+                                                   parse_state(args.input)), args.out)
 
 
 def _cmd_nonlinear_distribution(args) -> int:
     exp, _ = _load_experiment(args.config, args.phi)
-    dist = nonlinear_distribution(exp)
-    out = Path(args.out)
+    return _write_distribution(nonlinear_distribution(exp), args.out)
+
+
+def _write_distribution(dist: Distribution, out: str) -> int:
     write_distribution_csv(dist, out)
-    print(f"wrote {len(dist.probs)} outcomes to {out}")
+    print(f"wrote {len(dist.probs)} outcomes to {Path(out)}")
     return 0
 
 
@@ -228,7 +232,7 @@ def _cmd_simulate(args) -> int:
         "n_samples": stats.accepted,
         "acceptance_rate": stats.acceptance_rate,
     }
-    _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(_summary_path(out), summary)
     print(
         f"accepted {stats.accepted} samples in {stats.trials} trials "
         f"(rate {stats.acceptance_rate:.4f}, heralding mass {p_ps:.4f}); "
@@ -255,7 +259,7 @@ def _cmd_experiment_tvd_bunching(args) -> int:
     out = Path(args.out)
     write_records_csv(records, out)
     summary = summarize_records(records)
-    _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(_summary_path(out), summary)
     for key, row in summary.items():
         print(f"{key}: mean TVD {row['tvd_mean']:.4f} (+/- {row['tvd_std']:.4f}), "
               f"site bunching {row['p_bunch_site_mean']:.4f}")
@@ -264,8 +268,7 @@ def _cmd_experiment_tvd_bunching(args) -> int:
 
 def _cmd_analyze_cumulative(args) -> int:
     thresholds = [float(x) for x in args.thresholds.split(",")]
-    if args.units < 1:
-        raise ValueError(f"--units must be at least 1, got {args.units}")
+    _checked_count(args.units, "units", 1)
     s = _single_photons(args.n, args.m)
     rows = []
     for unit in range(args.units):
@@ -286,7 +289,7 @@ def _cmd_analyze_cumulative(args) -> int:
         }
         for j, p in enumerate(thresholds)
     }
-    _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(_summary_path(out), summary)
     for key, row in summary.items():
         print(f"{key}: mean fraction {row['fraction_mean']:.3f}")
     return 0
@@ -301,7 +304,7 @@ def _cmd_analyze_truncation(args) -> int:
         for unit, value in enumerate(result.samples):
             fh.write(f"{unit},{value:.17g}\n")
     summary = {"mean": result.mean, "stddev": result.stddev, "units": args.units}
-    _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(_summary_path(out), summary)
     print(f"truncated mass: {result.mean:.4f} +/- {result.stddev:.4f}")
     return 0
 
@@ -320,7 +323,7 @@ def _cmd_analyze_linear_search(args) -> int:
             fh.write(f"{i + 1},{value:.17g}\n")
     summary = {"best_tvd": result.best_tvd, "tvd_linearized": benchmark,
                "iterations": args.iterations}
-    _summary_path(out).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(_summary_path(out), summary)
     print(f"best random-search TVD {result.best_tvd:.4f}; "
           f"linearized benchmark TVD {benchmark:.4f}")
     return 0

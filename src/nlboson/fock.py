@@ -38,7 +38,7 @@ MAX_SPACE_BYTES = 1 << 30
 # first out; each space is charged _space_nbytes, all that it holds.
 CACHE_MAX_BYTES = 64 * 2**20
 
-# Rows converted to tuples at a time when a space is iterated
+# Rows converted to Python values at a time (iterating a space, writing a CSV)
 _ROW_CHUNK = 1 << 16
 
 
@@ -93,12 +93,25 @@ def parse_state(text: str) -> FockState:
         raise ValueError(f"cannot parse Fock state from {text!r}: {exc}") from None
 
 
+def _is_integer(value) -> bool:
+    """The one integer rule of modes, counts and dimensions: any integer type
+    passes (numpy's too); a bool, a float or a string does not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _checked_dimension(value, name: str, minimum: int) -> int:
+    """A mode count, photon number or ancilla count as an int, or DimensionError
+    naming it `name`, worded as `linalg._checked_count` words a count."""
+    if not _is_integer(value):
+        raise DimensionError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DimensionError(f"{name} must be at least {minimum}, got {name}={value}")
+    return int(value)
+
+
 def space_size(m: int, n: int) -> int:
     """Number of ways to place n photons in m modes: C(n+m-1, n)."""
-    if m < 1:
-        raise DimensionError(f"mode count must be >= 1, got {m}")
-    if n < 0:
-        raise DimensionError(f"photon count must be >= 0, got {n}")
+    m, n = _checked_dimension(m, "m", 1), _checked_dimension(n, "n", 0)
     return math.comb(n + m - 1, n)
 
 
@@ -183,7 +196,7 @@ class StateSpace:
 
     def __init__(self, m: int, n: int):
         size = space_size(m, n)
-        m, n = int(m), int(n)
+        m, n = index(m), index(n)
         if size > MAX_SPACE_SIZE:
             raise StateSpaceTooLargeError(
                 f"state space for m={m}, n={n} has {size} elements "
@@ -348,6 +361,7 @@ def enumerate_states(m: int, n: int) -> StateSpace:
     Spaces stay in a least-recently-used cache of at most CACHE_MAX_BYTES;
     a space larger than that is built on every call.
     """
+    space_size(m, n)  # checks m and n before the cache sees them
     space = _cache_get(m, n)
     if space is None:
         space = _cache_put(StateSpace(m, n))

@@ -35,7 +35,9 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DimensionError, GadgetSynthesisError
+from .fock import _checked_dimension
 from .linalg import (
+    _checked_count,
     _mesh_unitary,
     _mesh_unitary_derivatives,
     _read_only_copy,
@@ -117,6 +119,16 @@ def _checked_gadget_matrix(u_eff) -> np.ndarray:
     return u
 
 
+def _checked_ancillas(k) -> int:
+    """The ancilla count of a synthesis: an integer in 1..MAX_ANCILLAS (DimensionError)."""
+    k = _checked_dimension(k, "k", 1)
+    if k > MAX_ANCILLAS:
+        raise DimensionError(
+            f"gadget synthesis supports ancilla counts 1..{MAX_ANCILLAS}, got k={k}"
+        )
+    return k
+
+
 def _require_usable_gadget(u_eff, context: str) -> None:
     """NotUnitaryError if `u_eff` deviates from unitarity by more than
     MAX_GADGET_DEVIATION, the gate of every circuit that embeds a gadget."""
@@ -140,8 +152,7 @@ def heralded_factors(u_eff, n: int) -> np.ndarray:
     makes this hold for every l, including l > k.
     """
     u = _checked_gadget_matrix(u_eff)
-    if n < 0:
-        raise DimensionError(f"photon number must be >= 0, got {n}")
+    n = _checked_dimension(n, "n", 0)
     return _expanded_permanents(u, n) / _glynn_tables(u.shape[0] - 1, n).factorials
 
 
@@ -373,17 +384,14 @@ def optimize_gadget(
     reaches objective <= 1e-8 with the constraint satisfied; the search is
     sensitive to p_th, so lowering it is the first thing to try.
     """
-    if not 1 <= k <= MAX_ANCILLAS:
-        raise ValueError(f"supported ancilla counts are 1..{MAX_ANCILLAS}, got {k}")
+    k = _checked_ancillas(k)
     _require_finite_phase(phi)
     if p_th is None:
         p_th = DEFAULT_SUCCESS_THRESHOLDS[k]
     if not 0.0 < p_th < 1.0:
         raise ValueError(f"success threshold must be in (0, 1), got {p_th}")
-    if starts < 1:
-        raise ValueError(f"starts must be at least 1, got {starts}")
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
+    starts = _checked_count(starts, "starts", 1)
+    budget = _checked_count(budget, "budget", 1)
     if k == 1:
         # A one-photon "non-linearity" is a plain phase: diag(e^{-i phi}, 1)
         # satisfies the single condition exactly with unit success probability.
@@ -393,7 +401,7 @@ def optimize_gadget(
     m = k + 1
 
     best_key = best = None
-    for start in range(int(starts)):
+    for start in range(starts):
         x = _random_raw(m, rng)
         lam = 10.0
         nm = optimize.minimize(
@@ -401,7 +409,7 @@ def optimize_gadget(
             x,
             args=(m, phi, p_th, lam),
             method="Nelder-Mead",
-            options={"maxfev": int(budget), "xatol": 1e-10, "fatol": 1e-14, "adaptive": True},
+            options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14, "adaptive": True},
         )
         x = nm.x
         for _ in range(4):
@@ -414,7 +422,7 @@ def optimize_gadget(
                 xtol=1e-15,
                 ftol=1e-15,
                 gtol=1e-15,
-                max_nfev=int(budget),
+                max_nfev=budget,
             )
             x = ls.x
             if ls.fun[-1] == 0.0:  # no success shortfall at x

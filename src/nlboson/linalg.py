@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, NotUnitaryError, StateSpaceTooLargeError
-from .fock import occupation_indices, photon_count
+from .fock import _checked_dimension, _is_integer, occupation_indices, photon_count
 
 __all__ = [
     "permanent",
@@ -242,8 +242,7 @@ def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     correction that makes the distribution exactly Haar.  Deterministic for a
     given generator state.
     """
-    if m < 1:
-        raise DimensionError(f"mode count must be >= 1, got {m}")
+    m = _checked_dimension(m, "m", 1)
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -366,13 +365,23 @@ def direct_sum(a, b) -> np.ndarray:
 
 
 def _checked_mode(mode, m: int | None, label: str) -> int:
-    """A 1-based mode as an int, or DimensionError naming it `label`: any integer
-    type passes (numpy's too), a float does not; given `m`, it must lie in 1..m."""
-    if not isinstance(mode, (int, np.integer)):
+    """A 1-based mode as an int, or DimensionError naming it `label`: an integer
+    by `fock._is_integer`; given `m`, it must lie in 1..m."""
+    if not _is_integer(mode):
         raise DimensionError(f"{label} must be an integer")
     if m is not None and not 1 <= mode <= m:
         raise DimensionError(f"{label} out of range [1, {m}]")
     return int(mode)
+
+
+def _checked_count(value, name: str, minimum: int) -> int:
+    """A count argument as an int, or ValueError naming it `name`: an integer
+    by `fock._is_integer`, at least `minimum`.  The one check of every count."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {name}={value}")
+    return int(value)
 
 
 def _require_finite_phase(phi) -> None:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DimensionError, StateSpaceTooLargeError
 from .fock import (
+    _ROW_CHUNK,
     FockState,
     StateSpace,
     as_state,
@@ -24,6 +25,7 @@ from .fock import (
     space_size,
 )
 from .linalg import (
+    _checked_count,
     gathered_permanents,
     matrix_from_states,
     permanent,
@@ -138,17 +140,6 @@ def output_distribution(U, input_state) -> Distribution:
     return _unit_sum_distribution(space, _amplitudes_to_all(u, s, space), u)
 
 
-def _checked_count(value, name: str, minimum: int) -> int:
-    """A count as an int, or ValueError naming it `name`: any integer type
-    passes (numpy's too), a float does not; it must be at least `minimum`
-    (0 or 1)."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be {'positive' if minimum else 'non-negative'}, got {value}")
-    return int(value)
-
-
 def _inverse_sample(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
@@ -203,15 +194,12 @@ def verify_composition(W, V, input_state, output_state) -> float:
 # printed with 17 significant digits for lossless round-trips
 # ---------------------------------------------------------------------------
 
-_CSV_CHUNK = 1 << 16  # rows converted to Python values at a time
-
-
 def write_distribution_csv(dist: Distribution, path) -> None:
     occ, probs = dist.space.occupations, dist.probs
     with open(path, "w", newline="") as fh:
         fh.write("state,probability\n")
-        for start in range(0, len(probs), _CSV_CHUNK):
-            rows = slice(start, start + _CSV_CHUNK)
+        for start in range(0, len(probs), _ROW_CHUNK):
+            rows = slice(start, start + _ROW_CHUNK)
             fh.writelines(f'"{",".join(map(str, state))}",{p:.17g}\n'
                           for state, p in zip(occ[rows].tolist(), probs[rows].tolist()))
 

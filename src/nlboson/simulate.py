@@ -27,8 +27,8 @@ import numpy as np
 from .errors import PostselectionError, SamplingBudgetError
 from .fock import FockState, StateSpace, concat_states, enumerate_states
 from .gadget import GadgetSpec, _require_gadget_for, heralded_factors
-from .linalg import direct_sum
-from .linear import Distribution, _amplitudes_to_all, _checked_count, _guard_space
+from .linalg import _checked_count, direct_sum
+from .linear import Distribution, _amplitudes_to_all, _guard_space
 from .nonlinear import NonlinearExperiment, SingleModePhase
 
 __all__ = [

@@ -107,8 +107,19 @@ def test_zero_modes_rejected():
 
 
 def test_negative_photon_count_rejected():
-    with pytest.raises(DimensionError, match="photon count must be >= 0, got -1"):
+    with pytest.raises(DimensionError, match="n must be at least 0, got n=-1"):
         space_size(3, -1)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_float_dimension_is_refused_whatever_the_cache_holds(empty_cache, warm):
+    # (3, 2.0) hashes as (3, 2): a warm cache once handed out the (3, 2) space
+    if warm:
+        enumerate_states(3, 2)
+    with pytest.raises(DimensionError, match=r"^n must be an integer, got 2\.0$"):
+        enumerate_states(3, 2.0)
+    with pytest.raises(DimensionError, match=r"^m must be an integer, got 3\.0$"):
+        enumerate_states(3.0, 2)
 
 
 def test_space_guard():

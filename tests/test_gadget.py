@@ -350,7 +350,7 @@ def test_synthesis_reports_infeasible_threshold():
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("name", ["starts", "budget"])
 def test_synthesis_rejects_an_empty_search(k, name):
-    with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {name}=0"):
         optimize_gadget(k, math.pi / 2, **{name: 0})
 
 

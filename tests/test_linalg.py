@@ -204,7 +204,7 @@ def test_matrix_from_states_rejects_photon_mismatch():
     (lambda: matrix_to_json(np.ones(3)), r"expected a 2-D matrix, got shape \(3,\)"),
     (lambda: direct_sum(np.ones(3), np.eye(2)), "direct_sum expects two 2-D matrices"),
     (lambda: direct_sum(np.eye(2), np.ones((1, 2, 2))), "direct_sum expects two 2-D matrices"),
-    (lambda: haar_unitary(0, np.random.default_rng(0)), "mode count must be >= 1, got 0"),
+    (lambda: haar_unitary(0, np.random.default_rng(0)), "m must be at least 1, got m=0"),
 ], ids=["matrix_from_states non-square", "matrix_from_states modes", "permanents 3-D",
         "permanents 2-D", "gathered_permanents", "matrix_to_json", "direct_sum first",
         "direct_sum second", "haar_unitary"])

@@ -175,7 +175,7 @@ def test_sampling_tvd_decreases_with_sample_size():
 
 @pytest.mark.parametrize("count, message", [
     (2.7, "count must be an integer, got 2.7"),
-    (-1, "count must be non-negative, got -1"),
+    (-1, "count must be at least 0, got count=-1"),
 ], ids=["float", "negative"])
 def test_sampling_refuses_a_count_that_is_not_a_non_negative_integer(count, message):
     with pytest.raises(ValueError, match=message):
@@ -255,7 +255,7 @@ def test_csv_and_samples_leave_the_tuple_view_unbuilt(tmp_path, monkeypatch):
     # rows come from the occupation array, several chunks of it here
     monkeypatch.setattr(fock, "_cache", OrderedDict())
     monkeypatch.setattr(fock, "_cache_nbytes", 0)
-    monkeypatch.setattr(linear, "_CSV_CHUNK", 7)
+    monkeypatch.setattr(linear, "_ROW_CHUNK", 7)
     space = StateSpace(4, 3)
     probs = np.arange(1.0, len(space) + 1) / 3
     dist = Distribution(space, probs / probs.sum())

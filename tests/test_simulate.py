@@ -299,7 +299,7 @@ def test_rejection_sampling_budget_abort(gadget_k2):
 @pytest.mark.parametrize("n_samples", [0, -1])
 def test_rejection_sampling_needs_a_positive_sample_count(gadget_k2, n_samples):
     setup = build_setup(np.eye(3), np.eye(3), 2, (1, 1, 0), gadget_k2)
-    with pytest.raises(ValueError, match="n_samples must be positive"):
+    with pytest.raises(ValueError, match=f"n_samples must be at least 1, got n_samples={n_samples}"):
         run_rejection_sampling(setup, n_samples, np.random.default_rng(0))
 
 
@@ -309,8 +309,8 @@ def test_rejection_sampling_needs_a_positive_sample_count(gadget_k2, n_samples):
     # a fractional budget once left the loop spinning: past the integer part
     # a chunk took int(0.5) = 0 draws and the trial count stopped growing
     (5, 2.5, "trial_budget must be an integer, got 2.5"),
-    (5, 0, "trial_budget must be positive, got 0"),
-    (5, -5, "trial_budget must be positive, got -5"),
+    (5, 0, "trial_budget must be at least 1, got trial_budget=0"),
+    (5, -5, "trial_budget must be at least 1, got trial_budget=-5"),
 ], ids=["float-samples", "str-samples", "fractional-budget", "zero-budget", "negative-budget"])
 def test_rejection_sampling_refuses_a_count_that_is_not_a_positive_integer(
         gadget_k2, n_samples, budget, message):
