@@ -70,7 +70,7 @@ def bunching_at_site(w, input_state, mode_x: int, threshold: int) -> float:
 
 def bunching_global(w, input_state, threshold: int) -> float:
     """Probability that any mode holds more than `threshold` photons after `w`."""
-    dist = output_distribution(w, as_state(input_state))
+    dist = output_distribution(w, input_state)
     return _global_bunching_mass(dist, threshold)
 
 
@@ -83,12 +83,18 @@ def sorted_cumulative(dist: Distribution) -> tuple[np.ndarray, np.ndarray]:
 def fraction_for_threshold(dist: Distribution, p: float) -> float:
     """Smallest fraction of outcomes (taken by decreasing probability) whose
     cumulative mass reaches `p`."""
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {p}")
+    _checked_threshold(p)
     _, cum = sorted_cumulative(dist)
     idx = int(np.searchsorted(cum, p - 1e-12, side="left"))
     idx = min(idx, len(cum) - 1)
     return (idx + 1) / len(cum)
+
+
+def _checked_threshold(p: float) -> float:
+    """`p` if it is a mass threshold in (0, 1], else ValueError."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {p}")
+    return p
 
 
 def amplitude_metrics(a_nl: complex, a_ref: complex) -> tuple[float, float]:
@@ -120,7 +126,7 @@ def _single_photons(n: int, m: int) -> FockState:
     n, m = _checked_dimension(n, "n", 0), _checked_dimension(m, "m", 1)
     if n > m:
         raise DimensionError(f"need m >= n to inject single photons, got n={n}, m={m}")
-    return as_state((1,) * n + (0,) * (m - n))
+    return (1,) * n + (0,) * (m - n)
 
 
 def truncated_mass_study(n: int, m: int, n_max: int, n_unit: int,
@@ -196,6 +202,7 @@ def synthesize_gadgets(ks: Sequence[int], phi: float, seed: int, *,
                        starts: int = 60) -> dict[int, GadgetSpec]:
     """One gadget per ancilla count, each from its own derived random stream."""
     ks = sorted(set(map(_checked_ancillas, ks)))
+    seed = _checked_count(seed, "seed", 0)
     out: dict[int, GadgetSpec] = {}
     for k in ks:
         rng = np.random.default_rng([seed, 1_000_003, k])
@@ -281,6 +288,7 @@ def tvd_bunching_experiment(
     trials = _checked_count(trials, "trials", 1)
     workers = _checked_count(workers, "workers", 1)
     seed = _checked_count(seed, "seed", 0)
+    starts = _checked_count(starts, "starts", 1)
     if mode_x is not None:
         mode_x = _checked_mode(mode_x, min(m_list), f"gate mode mode_x={mode_x}")
     needed = set(k_list) | ({n} if reference == "gadget" else set())

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _checked_threshold,
     _single_photons,
     default_gate_mode,
     fraction_for_threshold,
@@ -30,7 +31,7 @@ from .analysis import (
     write_records_csv,
 )
 from .errors import BosonError
-from .fock import as_state, format_state, parse_state
+from .fock import _checked_state, format_state, parse_state
 from .gadget import (
     load_gadget,
     optimize_gadget,
@@ -79,7 +80,6 @@ def _config_dict(args: argparse.Namespace) -> dict:
 _CONFIG_TYPES = {
     "input_state": (str, list),
     "m": (int,),
-    "seed": (int,),
     "phi": (int, float),
     "mode_x": (int,),
     "w_matrix": (str, dict),
@@ -107,9 +107,7 @@ def _validate_config(cfg, path: str) -> None:
             raise ValueError(
                 f"{path}: config key {key!r} must be {expected}, got {cfg[key]!r}"
             )
-    state = cfg["input_state"]
-    if isinstance(state, list) and not all(_is_json_type(c, int) for c in state):
-        raise ValueError(f"{path}: input_state must list integer occupations, got {state!r}")
+    _checked_count(cfg.get("seed", 0), "config seed", 0)
     for key in ("w_matrix", "v_matrix"):
         if isinstance(cfg.get(key), str) and cfg[key] != "haar":
             raise ValueError(
@@ -129,10 +127,9 @@ def _load_experiment(path: str, phi_override: float | None = None
     cfg = json.loads(Path(path).read_text())
     _validate_config(cfg, path)
     state = cfg["input_state"]
-    s = parse_state(state) if isinstance(state, str) else as_state(state)
-    m = cfg.get("m", len(s))
-    if m != len(s):
-        raise ValueError(f"config m={m} but input_state has {len(s)} modes")
+    s = _checked_state(parse_state(state) if isinstance(state, str) else state,
+                       cfg.get("m"), None, f"{path}: input_state")
+    m = len(s)
     seed = cfg.get("seed", 0)
 
     def realize(key: str, stream: int) -> np.ndarray:
@@ -216,7 +213,7 @@ def _cmd_simulate(args) -> int:
     samples, stats = run_rejection_sampling(setup, args.samples, rng)
 
     exact = nonlinear_distribution(exp)
-    ranks = exact.space.ranks(samples)
+    ranks = exact.space.ranks(np.array(samples, dtype=np.int64))  # rows the sampler built
     counts = np.bincount(ranks, minlength=len(exact.space))
     empirical = Distribution(exact.space, counts / counts.sum())
 
@@ -241,13 +238,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _comma_list(text: str, option: str, kind: type) -> list:
+    """The values of a comma-list option, each read by `kind`."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} must list {kind.__name__} values, got {text!r}") from None
+
+
 def _cmd_experiment_tvd_bunching(args) -> int:
-    modes = [int(x) for x in args.modes.split(",")]
-    ks = [int(x) for x in args.k.split(",")]
     records = tvd_bunching_experiment(
         args.n,
-        modes,
-        ks,
+        _comma_list(args.modes, "--modes", int),
+        _comma_list(args.k, "--k", int),
         args.phi,
         args.trials,
         args.seed,
@@ -267,7 +270,8 @@ def _cmd_experiment_tvd_bunching(args) -> int:
 
 
 def _cmd_analyze_cumulative(args) -> int:
-    thresholds = [float(x) for x in args.thresholds.split(",")]
+    thresholds = [_checked_threshold(p)
+                  for p in _comma_list(args.thresholds, "--thresholds", float)]
     _checked_count(args.units, "units", 1)
     s = _single_photons(args.n, args.m)
     rows = []
@@ -453,6 +457,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "seed"):  # before any command draws from it
+            _checked_count(args.seed, "seed", 0)
         code = args.func(args)
         if code == 0 and getattr(args, "out", None):
             _write_sidecar(args)

@@ -15,7 +15,7 @@ import math
 import sys
 import threading
 from collections import OrderedDict
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import getitem, index
 from typing import Iterable, Iterator, Sequence
 
@@ -43,11 +43,30 @@ _ROW_CHUNK = 1 << 16
 
 
 def as_state(occupations: Iterable[int]) -> FockState:
-    """Validate and normalize a sequence of occupations into a FockState."""
-    state = tuple(map(int, occupations))
+    """`occupations` as a tuple of Python ints, by the one occupation rule: each
+    a non-negative integer of any int type (numpy's too), never a bool, a
+    float or a string, which are refused rather than cast."""
+    raw = tuple(occupations)
+    try:
+        if bool in map(type, raw):
+            raise TypeError
+        state = tuple(map(index, raw))
+    except TypeError:
+        raise ValueError(f"occupations must be integers, got {occupations!r}") from None
     if state and min(state) < 0:
         raise ValueError(f"occupations must be non-negative, got {state}")
     return state
+
+
+def _checked_state(state, m: int | None, n: int | None, name: str) -> FockState:
+    """:func:`as_state` of `state`, which must hold m modes and n photons (a
+    None is not checked), else DimensionError naming it `name`."""
+    s = as_state(state)
+    if m is not None and len(s) != m:
+        raise DimensionError(f"{name} has {len(s)} modes, expected {m}")
+    if n is not None and sum(s) != n:
+        raise DimensionError(f"{name} has {sum(s)} photons, expected {n}")
+    return s
 
 
 def photon_count(state: Sequence[int]) -> int:
@@ -86,9 +105,8 @@ def format_state(state: Sequence[int]) -> str:
 
 def parse_state(text: str) -> FockState:
     """Inverse of :func:`format_state`."""
-    parts = text.split(",")
     try:
-        return as_state(int(p.strip()) for p in parts)
+        return as_state(int(p) for p in text.split(","))  # int() ignores spaces
     except ValueError as exc:
         raise ValueError(f"cannot parse Fock state from {text!r}: {exc}") from None
 
@@ -268,15 +286,7 @@ class StateSpace:
         depends only on the m-i modes left and the photons in modes i+1..,
         so it is one table entry; O(m) per state.
         """
-        key = as_state(state)
-        if len(key) != self.m:
-            raise DimensionError(
-                f"state has {len(key)} modes, space expects {self.m}"
-            )
-        if sum(key) != self.n:
-            raise DimensionError(
-                f"state has {sum(key)} photons, space expects {self.n}"
-            )
+        key = _checked_state(state, self.m, self.n, "state")
         # the photons in modes i+1.. for i = m-2..0 pick one entry of each
         # row; map stops at the last row, before the sum over all m modes
         rows = self._rank_rows or self._rank_offsets()
@@ -285,15 +295,21 @@ class StateSpace:
     def ranks(self, occupations) -> np.ndarray:
         """Positions of many states at once, one per row of `occupations`.
 
-        Checks every row as :meth:`rank` checks one state.
+        Checks every row as :meth:`rank` checks one state, in the same words.
         """
-        occ = np.asarray(occupations, dtype=np.int64)
+        occ = np.asarray(occupations)
         if occ.ndim == 1 and occ.size == 0:  # no states at all
-            occ = occ.reshape(0, self.m)
-        if occ.ndim != 2 or occ.shape[1] != self.m:
-            raise DimensionError(
-                f"states have shape {occ.shape}, space expects rows of {self.m} modes"
-            )
+            occ = np.zeros((0, self.m), dtype=np.int64)
+        # numpy reads a Python bool among ints as an int, so rows that are not
+        # yet an array are scanned for one
+        if occ.dtype.kind not in "iu" or (
+                occ.ndim == 2 and not isinstance(occupations, np.ndarray)
+                and bool in map(type, chain.from_iterable(occupations))):
+            raise ValueError(f"occupations must be integers, got {occupations!r}")
+        if occ.ndim != 2:
+            raise DimensionError(f"states must be rows of occupations, got shape {occ.shape}")
+        if occ.shape[1] != self.m:
+            raise DimensionError(f"state has {occ.shape[1]} modes, expected {self.m}")
         negative = np.flatnonzero((occ < 0).any(axis=1))
         if negative.size:
             raise ValueError(
@@ -302,9 +318,7 @@ class StateSpace:
         photons = occ.sum(axis=1)
         wrong = np.flatnonzero(photons != self.n)
         if wrong.size:
-            raise DimensionError(
-                f"state has {int(photons[wrong[0]])} photons, space expects {self.n}"
-            )
+            raise DimensionError(f"state has {int(photons[wrong[0]])} photons, expected {self.n}")
         table = np.array(self._rank_offsets(), dtype=np.int64).reshape(self.m - 1, self.n + 1)
         suffix = np.cumsum(occ[:, :0:-1], axis=1)
         return table[np.arange(self.m - 1), suffix].sum(axis=1)

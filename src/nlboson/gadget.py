@@ -35,7 +35,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DimensionError, GadgetSynthesisError
-from .fock import _checked_dimension
+from .fock import _checked_dimension, _is_integer
 from .linalg import (
     _checked_count,
     _mesh_unitary,
@@ -485,7 +485,7 @@ def reference_gadget(k: int) -> GadgetSpec:
     The rounded tables are not exactly unitary; each must pass the gadget
     gate, MAX_GADGET_DEVIATION.
     """
-    if k not in _REFERENCE_MATRICES:
+    if not _is_integer(k) or k not in _REFERENCE_MATRICES:  # 2.0 would hash as 2
         raise ValueError(f"reference gadgets exist for k in {sorted(_REFERENCE_MATRICES)}, got {k}")
     u = _REFERENCE_MATRICES[k]
     _require_usable_gadget(u, f"reference gadget k={k}")

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, NotUnitaryError, StateSpaceTooLargeError
-from .fock import _checked_dimension, _is_integer, occupation_indices, photon_count
+from .fock import _checked_dimension, _checked_state, _is_integer, occupation_indices
 
 __all__ = [
     "permanent",
@@ -216,23 +216,15 @@ def matrix_from_states(U, input_state: Sequence[int], output_state: Sequence[int
     """n x n matrix with row i of U repeated s_i times, column j repeated t_j times.
 
     Rows come from the input occupations, columns from the output occupations;
-    for single-occupancy states this is plain row/column selection.
+    for single-occupancy states this is plain row/column selection.  Both
+    states must have U's m modes, and the output the input's photon number.
     """
     u = np.asarray(U, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"expected a square mode unitary, got shape {u.shape}")
-    m = u.shape[0]
-    if len(input_state) != m or len(output_state) != m:
-        raise DimensionError(
-            f"states have {len(input_state)} and {len(output_state)} modes, matrix has {m}"
-        )
-    n_in = photon_count(input_state)
-    n_out = photon_count(output_state)
-    if n_in != n_out:
-        raise DimensionError(f"photon numbers differ: {n_in} vs {n_out}")
-    rows = occupation_indices(input_state)
-    cols = occupation_indices(output_state)
-    return u[np.ix_(rows, cols)]
+    s = _checked_state(input_state, len(u), None, "input state")
+    t = _checked_state(output_state, len(u), sum(s), "output state")
+    return u[np.ix_(occupation_indices(s), occupation_indices(t))]
 
 
 def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -414,9 +406,12 @@ def matrix_to_json(mat) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from None
+    for key, value in (("rows", rows), ("cols", cols)):
+        if type(value) is not int or value < 0:  # a JSON integer, never cast
+            raise ValueError(f"malformed matrix JSON: {key} must be an integer >= 0, got {value!r}")
     if not isinstance(data, list) or not all(
             isinstance(e, list) and len(e) == 2 and {type(x) for x in e} <= {int, float}
             for e in data):

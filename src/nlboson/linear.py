@@ -16,6 +16,7 @@ from .fock import (
     _ROW_CHUNK,
     FockState,
     StateSpace,
+    _checked_state,
     as_state,
     enumerate_states,
     normalization_product,
@@ -84,10 +85,8 @@ def amplitude(U, input_state, output_state) -> complex:
     input occupations and columns by the output occupations.
     """
     u = require_unitary(U, context="amplitude")
-    s = as_state(input_state)
-    t = as_state(output_state)
-    sub = matrix_from_states(u, s, t)
-    norm = math.sqrt(normalization_product(s) * normalization_product(t))
+    sub = matrix_from_states(u, input_state, output_state)  # checks both states
+    norm = math.sqrt(normalization_product(input_state) * normalization_product(output_state))
     return permanent(sub) / norm
 
 
@@ -104,13 +103,12 @@ def _guard_space(m: int, n: int, what: str) -> None:
 def _amplitudes_to_all(U, input_state, space: StateSpace) -> np.ndarray:
     """Amplitudes from one input to every state of `space`, batched.
 
-    Reads the space's ``labels`` and ``norms``.  No unitarity re-check;
-    callers validate once.
+    Reads the space's ``labels`` and ``norms``.  No unitarity or state
+    re-check; callers validate once.
     """
-    s = as_state(input_state)
-    rows = np.array(occupation_indices(s), dtype=np.intp)
+    rows = np.array(occupation_indices(input_state), dtype=np.intp)
     pers = gathered_permanents(U, rows, space.labels)
-    norm_in = math.sqrt(normalization_product(s))
+    norm_in = math.sqrt(normalization_product(input_state))
     return pers / (norm_in * np.sqrt(space.norms))
 
 
@@ -133,9 +131,7 @@ def _unit_sum_distribution(space: StateSpace, amps, *unitaries) -> Distribution:
 def output_distribution(U, input_state) -> Distribution:
     """|amplitude|^2 over the full output space; sums to one for a unitary U."""
     u = require_unitary(U, context="output_distribution")
-    s = as_state(input_state)
-    if len(s) != u.shape[0]:
-        raise DimensionError(f"state has {len(s)} modes, matrix has {u.shape[0]}")
+    s = _checked_state(input_state, u.shape[0], None, "input state")
     space = enumerate_states(len(s), photon_count(s))
     return _unit_sum_distribution(space, _amplitudes_to_all(u, s, space), u)
 
@@ -172,18 +168,14 @@ def verify_composition(W, V, input_state, output_state) -> float:
     if w.shape != v.shape:
         raise DimensionError(f"factor shapes differ: {w.shape} vs {v.shape}")
     s = as_state(input_state)
-    t = as_state(output_state)
-    n = photon_count(s)
-    if photon_count(t) != n:
-        raise DimensionError("input and output photon numbers differ")
-    _guard_space(len(s), n, "verify_composition")
-    space = enumerate_states(len(s), n)
-    lhs = permanent(matrix_from_states(w @ v, s, t))
+    _guard_space(len(w), photon_count(s), "verify_composition")
+    # checks the input's modes and the output against it, before any space
+    lhs = permanent(matrix_from_states(w @ v, s, output_state))
     rhs = 0j
-    for r in space:
+    for r in enumerate_states(len(w), photon_count(s)):
         rhs += (
             permanent(matrix_from_states(w, s, r))
-            * permanent(matrix_from_states(v, r, t))
+            * permanent(matrix_from_states(v, r, output_state))
             / normalization_product(r)
         )
     return abs(lhs - rhs)
@@ -221,10 +213,7 @@ def read_distribution_csv(path) -> Distribution:
             probs.append(float(row[1]))
     if not states:
         raise ValueError("empty distribution CSV")
-    m = len(states[0])
-    n = photon_count(states[0])
-    space = enumerate_states(m, n)
-    if (len(states) != len(space) or any(len(s) != m for s in states)
-            or not np.array_equal(states, space.occupations)):
+    space = enumerate_states(len(states[0]), photon_count(states[0]))
+    if not np.array_equal(states, space.occupations):  # False for ragged or missing rows
         raise ValueError("distribution CSV rows are not the canonical state ordering")
     return Distribution(space, np.array(probs))

@@ -44,7 +44,7 @@ from .errors import DimensionError
 from .fock import (
     FockState,
     StateSpace,
-    as_state,
+    _checked_state,
     enumerate_states,
     normalization_product,
     photon_count,
@@ -92,15 +92,6 @@ class SingleModePhase:
         return complex(math.cos(a), math.sin(a))
 
 
-def _checked_output(output_state, m: int, n: int) -> FockState:
-    t = as_state(output_state)
-    if len(t) != m or photon_count(t) != n:
-        raise DimensionError(
-            f"output state {t} does not live in the {n}-photon {m}-mode space"
-        )
-    return t
-
-
 @dataclass(frozen=True, eq=False)
 class NonlinearExperiment:
     """Input state plus the W -> gate -> V sandwich, checked on construction;
@@ -116,18 +107,14 @@ class NonlinearExperiment:
             raise TypeError(
                 f"gate must be a SingleModePhase, got {type(self.gate).__name__}"
             )
-        s = as_state(self.input_state)
-        m = len(s)
-        w = np.asarray(self.w, dtype=complex)
-        v = np.asarray(self.v, dtype=complex)
-        if w.shape != (m, m) or v.shape != (m, m):
-            raise DimensionError(
-                f"networks must be {m}x{m} for a {m}-mode input, got {w.shape} and {v.shape}"
-            )
-        _checked_mode(self.gate.mode, m, f"gate mode {self.gate.mode}")
-        for name, network in (("W", w), ("V", v)):
-            checked = require_unitary(network, context=name)
-            object.__setattr__(self, name.lower(), _read_only_copy(checked))
+        w = require_unitary(self.w, context="W")
+        v = require_unitary(self.v, context="V")
+        if v.shape != w.shape:
+            raise DimensionError(f"W and V must be equal square matrices, got {w.shape}, {v.shape}")
+        s = _checked_state(self.input_state, len(w), None, "input state")
+        _checked_mode(self.gate.mode, len(s), f"gate mode {self.gate.mode}")
+        object.__setattr__(self, "w", _read_only_copy(w))
+        object.__setattr__(self, "v", _read_only_copy(v))
         object.__setattr__(self, "input_state", s)
 
     @property
@@ -165,7 +152,7 @@ def nonlinear_amplitude(exp: NonlinearExperiment, output_state) -> complex:
     since per(V_{R,T}) = per(V^T_{T,R}), so both legs are one batched pass
     each over the intermediate space.
     """
-    t = _checked_output(output_state, exp.m, exp.n)
+    t = _checked_state(output_state, exp.m, exp.n, "output state")
     space = exp.space()
     first = _amplitudes_to_all(exp.w, exp.input_state, space)
     second = _amplitudes_to_all(exp.v.T, t, space)
@@ -183,7 +170,7 @@ def phase_gate_amplitude(w, mode_x: int, phi: float, v, input_state, output_stat
     """
     exp = NonlinearExperiment(w, v, SingleModePhase(mode_x, phi), input_state)
     s, n, x = exp.input_state, exp.n, exp.gate.mode
-    t = _checked_output(output_state, exp.m, n)
+    t = _checked_state(output_state, exp.m, n, "output state")
     passes = [
         permanent(matrix_from_states(linearized_evolution(exp.w, x, theta, exp.v), s, t))
         for theta in _fourier_phases(n)
@@ -248,7 +235,7 @@ def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state,
     """
     exp = NonlinearExperiment(w, v, SingleModePhase(mode_x, phi), input_state)
     s, x = exp.input_state, exp.gate.mode
-    t = _checked_output(output_state, exp.m, exp.n)
+    t = _checked_state(output_state, exp.m, exp.n, "output state")
     ubar = linearized_evolution(exp.w, x, phi, exp.v)
     norm_s = math.sqrt(normalization_product(s))
     norm_t = math.sqrt(normalization_product(t))

@@ -110,7 +110,7 @@ def test_nonlinear_distribution_command(tmp_path):
     ({"seed": 3}, "'input_state'"),
     ([1, 1], "JSON object"),
     ({"input_state": "1,1", "m": "2"}, "'m' must be an integer"),
-    ({"input_state": [1, 0.5]}, "integer occupations"),
+    ({"input_state": [1, 0.5]}, "occupations must be integers"),
     ({"input_state": "1,1", "w_matrix": "identity"}, "'w_matrix'"),
 ])
 def test_malformed_config_is_an_error_line(tmp_path, capsys, cfg, fragment):
@@ -436,6 +436,61 @@ def test_linear_search_without_iterations_is_an_error_line(tmp_path, capsys, mon
     assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
 
+# Every seed, comma list and matrix header is refused by its own rule, naming
+# it, with exit 1 and before any random draw; nothing is written.
+@pytest.mark.parametrize("argv, message", [
+    (["gadget", "optimize", "--k", "2", "--seed", "-1"], "seed must be at least 0, got seed=-1"),
+    (["simulate", "--config", "{cfg}", "--seed", "-1"], "seed must be at least 0, got seed=-1"),
+    (["experiment", "tvd-bunching", "--n", "2", "--modes", "3", "--k", "1", "--seed", "-1"],
+     "seed must be at least 0, got seed=-1"),
+    (["analyze", "cumulative", "--n", "2", "--m", "3", "--units", "2", "--seed", "-1"],
+     "seed must be at least 0, got seed=-1"),
+    (["analyze", "truncation", "--n", "2", "--m", "3", "--units", "2", "--seed", "-1"],
+     "seed must be at least 0, got seed=-1"),
+    (["analyze", "linear-search", "--config", "{cfg}", "--iterations", "2", "--seed", "-1"],
+     "seed must be at least 0, got seed=-1"),
+    (["nonlinear-distribution", "--config", "{cfg:-1}"],
+     "config seed must be at least 0, got config seed=-1"),
+    (["nonlinear-distribution", "--config", "{cfg:1.5}"],
+     "config seed must be an integer, got 1.5"),
+    (["experiment", "tvd-bunching", "--n", "2", "--modes", "3,a", "--k", "1"],
+     "--modes must list int values, got '3,a'"),
+    (["experiment", "tvd-bunching", "--n", "2", "--modes", "3", "--k", "1,"],
+     "--k must list int values, got '1,'"),
+    (["analyze", "cumulative", "--n", "2", "--m", "3", "--thresholds", "0.9,x"],
+     "--thresholds must list float values, got '0.9,x'"),
+    (["analyze", "cumulative", "--n", "2", "--m", "3", "--thresholds", "0.9,1.5"],
+     "threshold must be in (0, 1], got 1.5"),
+    (["analyze", "cumulative", "--n", "2", "--m", "3", "--thresholds", "nan"],
+     "threshold must be in (0, 1], got nan"),
+    (["permanent", "--matrix", "{matrix}"],
+     "malformed matrix JSON: rows must be an integer >= 0, got 1.9"),
+], ids=["gadget optimize seed", "simulate seed", "tvd-bunching seed", "cumulative seed",
+        "truncation seed", "linear-search seed", "config seed", "config fractional seed",
+        "modes list", "k list", "thresholds list", "threshold range", "threshold nan",
+        "matrix rows"])
+def test_bad_seed_list_or_header_is_an_error_line_before_any_draw(tmp_path, capsys,
+                                                                   monkeypatch, argv, message):
+    def untouched(*args, **kwargs):
+        raise AssertionError("drew from a random stream before checking its arguments")
+
+    cfg = tmp_path / "exp.json"
+    _write_experiment_config(cfg)
+    configs = {"{cfg}": cfg}
+    for seed in (-1, 1.5):
+        configs[f"{{cfg:{seed}}}"] = tmp_path / f"seed{seed}.json"
+        configs[f"{{cfg:{seed}}}"].write_text(json.dumps({"input_state": "1,1", "seed": seed}))
+    configs["{matrix}"] = tmp_path / "m.json"
+    configs["{matrix}"].write_text(json.dumps({"rows": 1.9, "cols": 1, "data": [[1, 0]]}))
+    inputs = set(tmp_path.iterdir())
+    monkeypatch.setattr(np.random, "default_rng", untouched)
+    out = tmp_path / "out.csv"
+    code = main([str(configs.get(a, a)) for a in argv] + ["--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert set(tmp_path.iterdir()) == inputs
+
+
 def _write_inline_config(path, w, v, input_state="1,1,0", **extra):
     cfg = {"input_state": input_state, "mode_x": 2, "phi": 0.9,
            "w_matrix": matrix_to_json(w), "v_matrix": matrix_to_json(v), **extra}
@@ -457,8 +512,8 @@ def test_inline_matrices_give_the_api_distribution(tmp_path):
 
 @pytest.mark.parametrize("case, fragment", [
     ("2W", "W: matrix is not unitary"),
-    ("2x2 for 3 modes", "networks must be 3x3 for a 3-mode input"),
-    ("m disagrees", "config m=4 but input_state has 3 modes"),
+    ("2x2 for 3 modes", "input state has 3 modes, expected 2"),
+    ("m disagrees", "input_state has 3 modes, expected 4"),
 ])
 def test_bad_inline_config_is_an_error_line(tmp_path, capsys, case, fragment):
     rng = np.random.default_rng(96)

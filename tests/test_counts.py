@@ -13,8 +13,10 @@ from nlboson import (
     build_setup,
     enumerate_states,
     haar_unitary,
+    matrix_from_json,
     optimize_gadget,
     random_unitary_search,
+    reference_gadget,
     run_rejection_sampling,
     sample_exact,
     space_size,
@@ -46,41 +48,65 @@ def _cumulative(units, tmp_path):
     return cli._cmd_analyze_cumulative(args)
 
 
-# (name, minimum, call(value, tmp_path), (module, attribute) pairs that must stay unused)
+# (name, minimum, the entry it reaches, call(value, tmp_path), (module, attribute) pairs
+# that must stay unused); test_states checks that every public count is here
 COUNTS = [
-    ("n_unit", 1, lambda v, _: truncated_mass_study(2, 3, 1, v, np.random.default_rng(0)),
+    ("n_unit", 1, "truncated_mass_study",
+     lambda v, _: truncated_mass_study(2, 3, 1, v, np.random.default_rng(0)),
      [(analysis, "haar_unitary")]),
-    ("n_max", 0, lambda v, _: truncated_mass_study(2, 3, v, 2, np.random.default_rng(0)),
+    ("n_max", 0, "truncated_mass_study",
+     lambda v, _: truncated_mass_study(2, 3, v, 2, np.random.default_rng(0)),
      [(analysis, "haar_unitary")]),
-    ("iterations", 1,
+    ("iterations", 1, "random_unitary_search",
      lambda v, _: random_unitary_search(NonlinearExperiment(BS, BS, SingleModePhase(1, 0.7),
                                                             (1, 1)), v, np.random.default_rng(0)),
      [(analysis, "haar_unitary"), (analysis, "nonlinear_distribution")]),
-    ("trials", 1, lambda v, _: _tvd_study(trials=v),
+    ("trials", 1, "tvd_bunching_experiment", lambda v, _: _tvd_study(trials=v),
      [(analysis, "haar_unitary"), (analysis, "optimize_gadget")]),
-    ("workers", 1, lambda v, _: _tvd_study(workers=v),
+    ("workers", 1, "tvd_bunching_experiment", lambda v, _: _tvd_study(workers=v),
      [(analysis, "haar_unitary"), (analysis, "optimize_gadget")]),
-    ("seed", 0, lambda v, _: _tvd_study(seed=v),
+    ("seed", 0, "tvd_bunching_experiment", lambda v, _: _tvd_study(seed=v),
      [(analysis, "haar_unitary"), (analysis, "optimize_gadget")]),
-    ("starts", 1, lambda v, _: optimize_gadget(2, 1.0, 0.1, starts=v, rng=np.random.default_rng(0)),
+    ("starts", 1, "optimize_gadget",
+     lambda v, _: optimize_gadget(2, 1.0, 0.1, starts=v, rng=np.random.default_rng(0)),
      [(gadget, "_random_raw")]),
-    ("budget", 1, lambda v, _: optimize_gadget(2, 1.0, 0.1, budget=v, rng=np.random.default_rng(0)),
+    ("budget", 1, "optimize_gadget",
+     lambda v, _: optimize_gadget(2, 1.0, 0.1, budget=v, rng=np.random.default_rng(0)),
      [(gadget, "_random_raw")]),
-    ("units", 1, lambda v, tmp_path: _cumulative(v, tmp_path), [(cli, "haar_unitary")]),
-    ("n_samples", 1, lambda v, _: run_rejection_sampling(_setup(), v, np.random.default_rng(0)),
+    ("units", 1, "cli analyze cumulative", lambda v, tmp_path: _cumulative(v, tmp_path),
+     [(cli, "haar_unitary")]),
+    ("n_samples", 1, "run_rejection_sampling",
+     lambda v, _: run_rejection_sampling(_setup(), v, np.random.default_rng(0)),
      [(simulate, "_enlarged_output_probs")]),
-    ("trial_budget", 1,
+    ("trial_budget", 1, "run_rejection_sampling",
      lambda v, _: run_rejection_sampling(_setup(), 5, np.random.default_rng(0), trial_budget=v),
      [(simulate, "_enlarged_output_probs")]),
-    ("count", 0, lambda v, _: sample_exact(np.eye(2), (1, 0), v, np.random.default_rng(0)),
+    ("count", 0, "sample_exact",
+     lambda v, _: sample_exact(np.eye(2), (1, 0), v, np.random.default_rng(0)),
      [(linear, "output_distribution")]),
+    ("starts", 1, "tvd_bunching_experiment", lambda v, _: _tvd_study(starts=v),
+     [(analysis, "haar_unitary"), (analysis, "optimize_gadget")]),
+    ("seed", 0, "synthesize_gadgets", lambda v, _: synthesize_gadgets([1, 2], 1.0, v),
+     [(analysis, "optimize_gadget")]),
+    ("starts", 1, "synthesize_gadgets",
+     lambda v, _: synthesize_gadgets([2], 1.0, 0, starts=v), [(gadget, "_random_raw")]),
 ]
 
 
-@pytest.mark.parametrize("name, minimum, call, unused", COUNTS, ids=[c[0] for c in COUNTS])
+def _count_ids(rows):
+    """A count's first row is named by the count alone, a later one also by its entry."""
+    seen = set()
+    ids = []
+    for name, _, entry, *_ in rows:
+        ids.append(f"{entry} {name}" if name in seen else name)
+        seen.add(name)
+    return ids
+
+
+@pytest.mark.parametrize("name, minimum, entry, call, unused", COUNTS, ids=_count_ids(COUNTS))
 @pytest.mark.parametrize("kind", ["fraction", "bool", "string", "below-minimum"])
 def test_every_count_is_refused_by_one_rule_before_any_work(monkeypatch, tmp_path, name,
-                                                            minimum, call, unused, kind):
+                                                            minimum, entry, call, unused, kind):
     value, message = {
         "fraction": (2.5, f"{name} must be an integer, got 2.5"),
         "bool": (True, f"{name} must be an integer, got True"),
@@ -166,3 +192,31 @@ def test_a_numpy_integer_dimension_reads_as_a_plain_int():
     records = tvd_bunching_experiment(np.int64(2), [np.int64(3)], [np.int64(1)], 1.0, trials=1,
                                       seed=np.int64(0), reference="pathsum")
     assert all(type(getattr(r, f)) is int for r in records for f in ("n", "m", "k", "seed"))
+
+
+# Integers read from a file or looked up in a table meet the same rule: a JSON
+# integer (or any int type) is required, never a float or a bool cast to one.
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: matrix_from_json({"rows": 1.9, "cols": 1, "data": [[1, 0]]}),
+     "malformed matrix JSON: rows must be an integer >= 0, got 1.9"),
+    (lambda: matrix_from_json({"rows": 1, "cols": True, "data": [[1, 0]]}),
+     "malformed matrix JSON: cols must be an integer >= 0, got True"),
+    (lambda: matrix_from_json({"rows": -1, "cols": -1, "data": [[1, 0]]}),
+     "malformed matrix JSON: rows must be an integer >= 0, got -1"),
+    (lambda: matrix_from_json({"rows": "1", "cols": 1, "data": [[1, 0]]}),
+     "malformed matrix JSON: rows must be an integer >= 0, got '1'"),
+    (lambda: reference_gadget(2.0), "reference gadgets exist for k in [2, 3, 4], got 2.0"),
+    (lambda: reference_gadget(True), "reference gadgets exist for k in [2, 3, 4], got True"),
+    (lambda: reference_gadget(5), "reference gadgets exist for k in [2, 3, 4], got 5"),
+], ids=["fractional rows", "bool cols", "negative rows", "text rows", "float k", "bool k",
+        "missing k"])
+def test_an_integer_field_is_not_cast(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_an_integer_field_may_be_any_integer_type():
+    assert reference_gadget(np.int64(3)).k == 3
+    assert matrix_from_json({"rows": 1, "cols": 2, "data": [[1, 0], [0, 1]]}).shape == (1, 2)

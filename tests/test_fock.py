@@ -211,9 +211,9 @@ def test_ranks_equal_rank_and_position(m, n):
 
 def test_ranks_reject_mismatched_states():
     space = enumerate_states(3, 2)
-    with pytest.raises(DimensionError, match="3 modes"):
+    with pytest.raises(DimensionError, match="state has 2 modes, expected 3"):
         space.ranks([(1, 1)])  # wrong mode count
-    with pytest.raises(DimensionError, match="3 photons"):
+    with pytest.raises(DimensionError, match="state has 3 photons, expected 2"):
         space.ranks([(2, 0, 0), (1, 1, 1)])  # wrong photon count in one row
     with pytest.raises(ValueError, match="non-negative"):
         space.ranks([(2, 0, 0), (3, -1, 0)])

@@ -196,7 +196,8 @@ def test_matrix_from_states_rejects_photon_mismatch():
 @pytest.mark.parametrize("call, message", [
     (lambda: matrix_from_states(np.ones((2, 3)), (1, 0), (1, 0)),
      r"expected a square mode unitary, got shape \(2, 3\)"),
-    (lambda: matrix_from_states(np.eye(2), (1, 0, 0), (1, 0)), "states have 3 and 2 modes"),
+    (lambda: matrix_from_states(np.eye(2), (1, 0, 0), (1, 0)),
+     "input state has 3 modes, expected 2"),
     (lambda: permanents(np.ones((2, 2, 3))), r"expected a \(B, s, s\) stack"),
     (lambda: permanents(np.ones((2, 2))), r"expected a \(B, s, s\) stack"),
     (lambda: gathered_permanents(np.eye(3), np.zeros((2, 2), int), np.zeros((3, 2), int)),

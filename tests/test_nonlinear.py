@@ -293,11 +293,14 @@ def test_gate_rejects_a_non_finite_phase(phi):
             call()
 
 
-@pytest.mark.parametrize("t", [(1, 1), (1, 1, 1), (0, 2, 0, 0)],
-                         ids=["too few modes", "too many photons", "too many modes"])
+@pytest.mark.parametrize("t, message", [
+    ((1, 1), "output state has 2 modes, expected 3"),
+    ((1, 1, 1), "output state has 3 photons, expected 2"),
+    ((0, 2, 0, 0), "output state has 4 modes, expected 3"),
+], ids=["too few modes", "too many photons", "too many modes"])
 @pytest.mark.parametrize("entry", ["nonlinear_amplitude", "phase_gate_amplitude",
                                    "phase_gate_amplitude_split"])
-def test_amplitude_entries_refuse_an_output_outside_the_space(entry, t):
+def test_amplitude_entries_refuse_an_output_outside_the_space(entry, t, message):
     w, v = haar_pair(3, 61)
     s = (1, 1, 0)
     calls = {
@@ -305,7 +308,7 @@ def test_amplitude_entries_refuse_an_output_outside_the_space(entry, t):
         "phase_gate_amplitude": lambda: phase_gate_amplitude(w, 2, 0.3, v, s, t),
         "phase_gate_amplitude_split": lambda: phase_gate_amplitude_split(w, 2, 0.3, v, s, t),
     }
-    with pytest.raises(DimensionError, match="does not live in the 2-photon 3-mode space"):
+    with pytest.raises(DimensionError, match=message):
         calls[entry]()
 
 
