@@ -61,15 +61,19 @@ def _global_bunching_mass(dist: Distribution, threshold: int) -> float:
 
 
 def bunching_at_site(w, input_state, mode_x: int, threshold: int) -> float:
-    """Probability of more than `threshold` photons at one mode after `w`."""
+    """Probability of more than `threshold` photons at one mode after `w`;
+    `threshold` is a count, at least 0 (ValueError)."""
     s = as_state(input_state)
     mode_x = _checked_mode(mode_x, len(s), f"mode {mode_x}")
+    threshold = _checked_count(threshold, "threshold", 0)
     dist = output_distribution(w, s)
     return _site_bunching_mass(dist, mode_x, threshold)
 
 
 def bunching_global(w, input_state, threshold: int) -> float:
-    """Probability that any mode holds more than `threshold` photons after `w`."""
+    """Probability that any mode holds more than `threshold` photons after `w`;
+    `threshold` is a count, at least 0 (ValueError)."""
+    threshold = _checked_count(threshold, "threshold", 0)
     dist = output_distribution(w, input_state)
     return _global_bunching_mass(dist, threshold)
 

@@ -45,7 +45,7 @@ from .linear import Distribution, output_distribution, write_distribution_csv
 from .nonlinear import (
     NonlinearExperiment,
     SingleModePhase,
-    linearized_evolution,
+    _layer_distribution,
     nonlinear_distribution,
 )
 from .simulate import SimulationSetup, postselected_distribution, run_rejection_sampling
@@ -318,8 +318,9 @@ def _cmd_analyze_linear_search(args) -> int:
     rng = np.random.default_rng([args.seed, 3])
     result = random_unitary_search(exp, args.iterations, rng)
     target = nonlinear_distribution(exp)
-    ubar = linearized_evolution(exp.w, exp.gate.mode, exp.gate.phi, exp.v)
-    benchmark = tvd(output_distribution(ubar, exp.input_state), target)
+    # the linearized benchmark: the phase shifter's factors on the same components
+    linearized = _layer_distribution(exp, exp.gate.linearized_factors(exp.n))
+    benchmark = tvd(linearized, target)
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
         fh.write("iteration,best_tvd\n")

@@ -2,11 +2,11 @@
 
 A Fock state is a plain tuple of non-negative occupation numbers, one per
 optical mode.  ``StateSpace`` holds every such state for fixed photon number
-and mode count as three read-only arrays (occupations, mode labels and
-factorial norms, one row per state), in descending lexicographic order,
-which fixes a total, reproducible ordering for distributions, CSV output and
-rank lookup.  :func:`enumerate_states` hands out one shared space per
-(m, n) from a cache bounded in bytes.
+and mode count as four read-only arrays (occupations, mode labels, factorial
+norms and predecessor ranks, one row per state), in descending lexicographic
+order, which fixes a total, reproducible ordering for distributions, CSV
+output and rank lookup.  :func:`enumerate_states` hands out one shared space
+per (m, n) from a cache bounded in bytes.
 """
 
 from __future__ import annotations
@@ -104,11 +104,15 @@ def format_state(state: Sequence[int]) -> str:
 
 
 def parse_state(text: str) -> FockState:
-    """Inverse of :func:`format_state`."""
-    try:
-        return as_state(int(p) for p in text.split(","))  # int() ignores spaces
-    except ValueError as exc:
-        raise ValueError(f"cannot parse Fock state from {text!r}: {exc}") from None
+    """Inverse of :func:`format_state`: each comma-separated field is ASCII
+    digits, with spaces around it allowed, so no sign, underscore or other
+    script's digit reads as a count."""
+    fields = text.split(",")
+    if not (text.isascii() and all(field.strip().isdigit() for field in fields)):
+        bad = next(f for f in fields if not (f.isascii() and f.strip().isdigit()))
+        raise ValueError(f"cannot parse Fock state from {text!r}: "
+                         f"field {bad!r} is not a count in ASCII digits")
+    return tuple(map(int, fields))
 
 
 def _is_integer(value) -> bool:
@@ -149,14 +153,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _space_nbytes(m: int, n: int) -> int:
     """Bytes of the arrays a space of n photons in m modes holds.
 
-    Per state: m occupations, n intp labels and one float norm.
+    Per state: m occupations, n intp labels, one float norm and n int32
+    predecessor ranks.
     """
     itemsize = np.dtype(_occupation_dtype(n)).itemsize
-    return space_size(m, n) * (m * itemsize + np.dtype(np.intp).itemsize * n + 8)
+    return space_size(m, n) * (m * itemsize + (np.dtype(np.intp).itemsize + 4) * n + 8)
 
 
-def _build(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Labels, occupations and normalization products of space(m, n).
+def _build(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Labels, occupations, normalization products and predecessors of space(m, n).
 
     Row i of the (size, n) `labels` array is the occupation indices of state
     i, its photons' modes in ascending order; descending-lex order on the
@@ -193,24 +198,56 @@ def _build(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         norms *= run
     if dtype is object:  # a product too large for a float (n > 170) reads as inf
         norms[norms > sys.float_info.max] = math.inf
-    return _read_only(labels), _read_only(occupations), _read_only(norms.astype(float))
+    return (_read_only(labels), _read_only(occupations), _read_only(norms.astype(float)),
+            _read_only(_predecessors(m, labels)))
+
+
+def _predecessors(m: int, labels: np.ndarray) -> np.ndarray:
+    """(size, n) int32: entry [i, p] is the rank in space(m, n-1) of state i
+    with one photon taken from mode ``labels[i, p]``.
+
+    :meth:`StateSpace.rank` sums, for each mode q >= 1, an offset fixed by
+    the photons in modes q..; taking a photon from mode t lowers that count
+    by one for every q <= t.  Between the sorted labels l_{p-1} < q <= l_p
+    the count is n - p, and the offsets lost over that run telescope to
+    G(n-p, l_{p-1}) - G(n-p, l_p), where G(r, q) = C(r+m-2-q, r) counts the
+    states of r photons in modes q+1..m-1.  So one running sum over the
+    photons in label order gives every predecessor, with no work per mode.
+    """
+    size, n = labels.shape
+    # every G and every rank is at most the size of the space, below
+    # MAX_SPACE_SIZE, so int32 holds them; column-major, so that each
+    # photon's column is one contiguous run for the recursion to read
+    out = np.empty((size, n), dtype=np.int32, order="F")
+    rank = np.arange(size, dtype=np.int32)
+    previous = np.zeros(size, dtype=np.intp)  # l_{-1} = 0
+    for p in range(n):
+        r = n - p
+        g = np.array([math.comb(r + m - 2 - q, r) for q in range(m)], dtype=np.int32)
+        label = labels[:, p]
+        rank -= g[previous]
+        rank += g[label]
+        out[:, p] = rank
+        previous = label
+    return out
 
 
 class StateSpace:
     """All Fock states of n photons in m modes, in a fixed total order.
 
     The ordering is descending lexicographic on the occupation tuple, so
-    ``(2,0) < (1,1) < (0,2)`` by rank.  A space is three read-only arrays,
+    ``(2,0) < (1,1) < (0,2)`` by rank.  A space is four read-only arrays,
     built together photon by photon: ``occupations`` holds the states as the
     rows of a (size, m) integer array; row i of the (size, n) ``labels``
     array is ``occupation_indices`` of state i; ``norms[i]`` is
-    ``float(normalization_product(state i))``.  Iterating or indexing the
-    space converts rows to tuples of Python ints on demand, and ``states``
-    is the space itself.  Instances are immutable and safe to share between
-    threads.
+    ``float(normalization_product(state i))``; ``predecessors[i, p]`` is the
+    rank in the space of n-1 photons of state i less one photon of mode
+    ``labels[i, p]`` (int32).  Iterating or indexing the space converts rows
+    to tuples of Python ints on demand, and ``states`` is the space itself.
+    Instances are immutable and safe to share between threads.
     """
 
-    __slots__ = ("m", "n", "occupations", "labels", "norms", "_rank_rows")
+    __slots__ = ("m", "n", "occupations", "labels", "norms", "predecessors", "_rank_rows")
 
     def __init__(self, m: int, n: int):
         size = space_size(m, n)
@@ -226,9 +263,10 @@ class StateSpace:
                 f"state space for m={m}, n={n} would hold {nbytes / 2**30:.1f} GiB "
                 f"of arrays (cap {MAX_SPACE_BYTES / 2**30:g} GiB)"
             )
-        labels, occupations, norms = _build(m, n)
+        labels, occupations, norms, predecessors = _build(m, n)
         for name, value in (("m", m), ("n", n), ("occupations", occupations),
-                            ("labels", labels), ("norms", norms), ("_rank_rows", None)):
+                            ("labels", labels), ("norms", norms),
+                            ("predecessors", predecessors), ("_rank_rows", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

@@ -9,21 +9,24 @@ Any layer that multiplies an intermediate state by a factor g_j depending
 only on the photon number j at one site x is fixed by n+1 photon-number
 components: A_j(T) sums the W -> V paths from the input to output T with
 exactly j photons at x, so the layer's amplitude is sum_j g_j A_j(T).
-Replacing the layer by a linear phase shifter exp(-i * n_x * theta) gives
-L_theta(T) = sum_j exp(-i j theta) A_j(T), so :func:`photon_number_components`
-evaluates L at the n+1 roots of unity -- n+1 linear passes through
-W F_theta V -- and inverts that discrete Fourier transform.  The ideal gate
-has g_j = exp(-i j^2 phi), a heralded gadget g_j = per(U^{j,1..1}) / j!
+Splitting W V at x into the rank-one C = W[:, x] V[x, :] and B = W V - C,
+A_j(T) is the z^j coefficient of the amplitude through B + z C, and
+:func:`photon_number_components` computes every coefficient in one pass: a
+recursion over the input photons, tagged with the photons sent through x
+(:func:`_tagged_components`).  The ideal gate has g_j = exp(-i j^2 phi), a
+heralded gadget g_j = per(U^{j,1..1}) / j!
 (:func:`nlboson.gadget.heralded_factors`, used by :mod:`nlboson.simulate`),
 the linearized benchmark g_j = exp(-i j phi); any other single-mode
 diagonal layer is likewise ``g @ A``.
 
-Three routes to one amplitude are kept for cross-validation: the Feynman
-path sum over the intermediate basis (:func:`nonlinear_amplitude`, two
-batched linear passes), the Fourier form (:func:`phase_gate_amplitude`),
-and the split form, which separates the linearizable part (the same circuit
-with a plain phase shifter in place of the gate) from bunching corrections
-with more than one photon at the gate site (:func:`phase_gate_amplitude_split`).
+Three more routes to one amplitude are kept for cross-validation: the
+Feynman path sum over the intermediate basis (:func:`nonlinear_amplitude`,
+two batched linear passes), the Fourier form (:func:`phase_gate_amplitude`,
+which evaluates the linearized circuit W F_theta V at the n+1 roots of unity
+by scalar permanents and inverts that discrete Fourier transform), and the
+split form, which separates the linearizable part (the same circuit with a
+plain phase shifter in place of the gate) from bunching corrections with
+more than one photon at the gate site (:func:`phase_gate_amplitude_split`).
 
 Every entry to the sandwich builds one :class:`NonlinearExperiment`, which
 checks it on construction: W and V m x m and unitary, the gate mode an
@@ -47,6 +50,7 @@ from .fock import (
     _checked_state,
     enumerate_states,
     normalization_product,
+    occupation_indices,
     photon_count,
 )
 from .linalg import (
@@ -85,11 +89,16 @@ class SingleModePhase:
 
     def number_factors(self, n: int) -> np.ndarray:
         """Factors g_j = exp(-i j^2 phi) for j = 0..n photons at the gate site."""
-        return np.array([self._number_factor(j) for j in range(n + 1)], dtype=complex)
+        return _unit_phases([-(j * j) * self.phi for j in range(n + 1)])
 
-    def _number_factor(self, r: int) -> complex:
-        a = -(r * r) * self.phi
-        return complex(math.cos(a), math.sin(a))
+    def linearized_factors(self, n: int) -> np.ndarray:
+        """Factors g_j = exp(-i j phi) of the phase shifter exp(-i n_x phi) that
+        stands in for the gate in the linearized benchmark."""
+        return _unit_phases([-j * self.phi for j in range(n + 1)])
+
+
+def _unit_phases(angles) -> np.ndarray:
+    return np.array([complex(math.cos(a), math.sin(a)) for a in angles], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,14 +143,47 @@ class NonlinearExperiment:
         """``(space, A)`` of :func:`photon_number_components`, computed on first use
         and kept read-only for the experiment's lifetime: (n+1) * len(space) * 16 B."""
         space = self.space()
-        passes = np.array([
-            _amplitudes_to_all(linearized_evolution(self.w, self.gate.mode, theta, self.v),
-                               self.input_state, space)
-            for theta in _fourier_phases(self.n)
-        ])
-        a = _inverse_dft(passes)
+        a = _tagged_components(self.w, self.v, self.gate.mode, self.input_state, space)
         a.setflags(write=False)
         return space, a
+
+
+def _tagged_components(w: np.ndarray, v: np.ndarray, mode_x: int, input_state: FockState,
+                       space: StateSpace) -> np.ndarray:
+    """A of shape (n+1, len(space)), by one recursion over the input photons
+    (the strong-simulation recursion of Heurtel et al., arXiv:2206.10549,
+    with each amplitude split by the photons it sends through x).
+
+    With C = W[:, x] V[x, :] and B = W V - C, send the input photons in one
+    at a time.  After k of them, psi_k[j, T] over the states T of k photons
+    is the part of per((B + z C)_{S_k, T}), S_k the first k photons, that
+    goes with z^j: j of its rows went through x.  Expanding the permanent
+    along the k-th photon's row i gives one term per photon of T, so
+
+        psi_k[j, T] = sum_p B[i, l_p] psi_{k-1}[j, T - e_{l_p}]
+                          + C[i, l_p] psi_{k-1}[j-1, T - e_{l_p}]
+
+    over the modes l_p of T's photons (``labels``), with the rank of
+    T - e_{l_p} read from each space's ``predecessors``.  Then
+    A = psi_n / sqrt(prod s_i! prod t_i!).  Each step gathers one (j, state)
+    block per photon of T, never one per mode; no Fourier passes and no
+    permanents.
+    """
+    m, n = space.m, space.n
+    c_all = np.outer(w[:, mode_x - 1], v[mode_x - 1])
+    b_all = w @ v - c_all
+    psi = np.ones((1, 1), dtype=complex)
+    for k, i in enumerate(occupation_indices(input_state), start=1):
+        # the caller's own space last: one above the cache bound is not rebuilt
+        level = space if k == n else enumerate_states(m, k)
+        b, c = b_all[i], c_all[i]
+        grown = np.zeros((k + 1, len(level)), dtype=complex)
+        for labels, ranks in zip(level.labels.T, level.predecessors.T):
+            before = psi[:, ranks]
+            grown[:k] += b[labels] * before
+            grown[1:] += c[labels] * before
+        psi = grown
+    return psi / np.sqrt(normalization_product(input_state) * space.norms)
 
 
 def nonlinear_amplitude(exp: NonlinearExperiment, output_state) -> complex:
@@ -217,9 +259,9 @@ def photon_number_components(w, v, mode_x: int, input_state) -> tuple[StateSpace
     ``g @ A``.  The pair is the :attr:`NonlinearExperiment.components` of the
     phi = 0 experiment, so A is read-only.
 
-    Costs n+1 batched linear passes, one per unitary W F_theta V at
-    theta_q = 2 pi q/(n+1), and an inverse DFT over q; every pass reads the
-    labels and norms of the one shared space.
+    Costs one photon-number-tagged recursion over the input photons
+    (:func:`_tagged_components`): O(n^2 * len(space)) work, reading the
+    labels, norms and predecessor ranks of the shared spaces of 1..n photons.
     """
     # A does not depend on phi, and phi = 0 makes the gate the identity layer
     return NonlinearExperiment(w, v, SingleModePhase(mode_x, 0.0), input_state).components
@@ -262,6 +304,11 @@ def nonlinear_distribution(exp: NonlinearExperiment) -> Distribution:
     (:attr:`NonlinearExperiment.components`).  The number-preserving gate
     keeps the evolution unitary, so the probabilities sum to one.
     """
+    return _layer_distribution(exp, exp.gate.number_factors(exp.n))
+
+
+def _layer_distribution(exp: NonlinearExperiment, factors: np.ndarray) -> Distribution:
+    """|factors @ A|^2 over the experiment's space, for a layer of unit-modulus
+    factors g_j, which keeps the evolution unitary."""
     space, components = exp.components
-    return _unit_sum_distribution(space, exp.gate.number_factors(exp.n) @ components,
-                                  exp.w, exp.v)
+    return _unit_sum_distribution(space, factors @ components, exp.w, exp.v)

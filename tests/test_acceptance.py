@@ -177,10 +177,12 @@ def test_criterion_07_equation_cross_validation():
         a_general = nonlinear_amplitude(exp, t)
         a_fourier = phase_gate_amplitude(w, x, phi, v, s, t)
         a_split = phase_gate_amplitude_split(w, x, phi, v, s, t)
-        worst_pair = max(
-            worst_pair, abs(a_general - a_fourier), abs(a_fourier - a_split),
-            abs(a_general - a_split),
-        )
+        # nonlinear_distribution's amplitude: the gate's factors on the
+        # tagged recursion's components
+        a_tagged = exp.gate.number_factors(n) @ exp.components[1][:, space.rank(t)]
+        routes = (a_general, a_fourier, a_split, a_tagged)
+        worst_pair = max(worst_pair, *(abs(a - b) for i, a in enumerate(routes)
+                                       for b in routes[i + 1:]))
     worst_comp = 0.0
     for _ in range(10):
         m = int(rng.integers(2, 6))
@@ -193,7 +195,8 @@ def test_criterion_07_equation_cross_validation():
     ok = worst_pair <= 1e-12 and worst_comp <= 1e-9
     report(
         7,
-        "path sum, Fourier form and split form agree; composition identity",
+        "path sum, tagged recursion, Fourier form and split form agree; "
+        "composition identity",
         ok,
         f"max pairwise gap {worst_pair:.1e} over 50 instances, "
         f"max composition residual {worst_comp:.1e}",

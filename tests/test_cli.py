@@ -13,11 +13,14 @@ from nlboson import (
     NonlinearExperiment,
     SingleModePhase,
     haar_unitary,
+    linearized_evolution,
     matrix_to_json,
     nonlinear_distribution,
+    output_distribution,
+    tvd,
     write_distribution_csv,
 )
-from nlboson.cli import build_parser, main
+from nlboson.cli import _load_experiment, build_parser, main
 
 from .conftest import network_checks
 
@@ -295,6 +298,24 @@ def test_analyze_linear_search_command(tmp_path):
     assert summary["iterations"] == 50
     assert 0 <= summary["best_tvd"] <= 1
     assert 0 <= summary["tvd_linearized"] <= 1
+
+
+def test_linear_search_benchmark_is_the_linearized_circuit(tmp_path):
+    # the phase shifter's factors on the components against the circuit
+    # W F_phi V run as a linear network
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"m": 4, "input_state": "2,1,0,1", "mode_x": 2, "phi": 1.1,
+                               "w_matrix": "haar", "v_matrix": "haar", "seed": 5}))
+    out = tmp_path / "search.csv"
+    argv = ["analyze", "linear-search", "--config", str(cfg), "--iterations", "2",
+            "--out", str(out)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "search_summary.json").read_text())
+    exp, _ = _load_experiment(str(cfg))
+    ubar = linearized_evolution(exp.w, exp.gate.mode, exp.gate.phi, exp.v)
+    want = tvd(output_distribution(ubar, exp.input_state), nonlinear_distribution(exp))
+    assert want > 0.01
+    assert abs(summary["tvd_linearized"] - want) <= 1e-12
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -634,8 +655,8 @@ def test_each_network_is_checked_once_and_each_sandwich_decomposed_once(tmp_path
     cfg = tmp_path / "exp.json"
     _write_experiment_config(cfg, phi=math.pi / 2, gadget=tmp_path / "ref2.json")
     checks = spy(nlboson.linalg, "require_unitary")
-    # one inverse DFT per photon-number decomposition
-    passes = spy(nlboson.nonlinear, "_inverse_dft")
+    # one tagged recursion per photon-number decomposition
+    passes = spy(nlboson.nonlinear, "_tagged_components")
     out = str(tmp_path / "samples.csv")
     assert main(["simulate", "--config", str(cfg), "--samples", "5", "--out", out]) == 0
     # the heralded mass and the exact reference share one components pass

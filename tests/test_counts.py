@@ -11,6 +11,8 @@ import pytest
 from nlboson import (
     DimensionError,
     build_setup,
+    bunching_at_site,
+    bunching_global,
     enumerate_states,
     haar_unitary,
     matrix_from_json,
@@ -90,6 +92,10 @@ COUNTS = [
      [(analysis, "optimize_gadget")]),
     ("starts", 1, "synthesize_gadgets",
      lambda v, _: synthesize_gadgets([2], 1.0, 0, starts=v), [(gadget, "_random_raw")]),
+    ("threshold", 0, "bunching_at_site", lambda v, _: bunching_at_site(BS, (1, 1), 1, v),
+     [(analysis, "output_distribution")]),
+    ("threshold", 0, "bunching_global", lambda v, _: bunching_global(BS, (1, 1), v),
+     [(analysis, "output_distribution")]),
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import tracemalloc
 from collections import OrderedDict
 
@@ -29,8 +30,8 @@ from .oracles import compositions_desc, count_occupations
 ORACLE_SPACES = [(m, n) for m in range(1, 11) for n in range(7)] + [(16, 4), (27, 3)]
 # many modes, few photons: the direct build does no work per mode
 LARGE_M_SPACES = [(200, 2), (1000, 1)]
-# the slots of a space that hold something: its size and its three arrays
-ARRAYS_ONLY = {"m", "n", "occupations", "labels", "norms"}
+# the slots of a space that hold something: its size and its four arrays
+ARRAYS_ONLY = {"m", "n", "occupations", "labels", "norms", "predecessors"}
 
 
 def held(space):
@@ -150,8 +151,20 @@ def test_text_round_trip():
     assert format_state((1, 1, 1, 0, 0)) == "1,1,1,0,0"
     assert parse_state("1,1,1,0,0") == (1, 1, 1, 0, 0)
     assert parse_state(" 2 , 0 ") == (2, 0)
+    assert parse_state("\t3,007 ") == (3, 7)
     with pytest.raises(ValueError):
         parse_state("1,x,0")
+
+
+@pytest.mark.parametrize("text, field", [
+    ("1_0,0", "1_0"), (" +1,3", " +1"), ("1,\u0663", "\u0663"), ("1,\u00b2", "\u00b2"),
+    ("1,-0", "-0"), ("1,,0", ""), ("", ""), ("1, ", " "), ("1 0,2", "1 0"),
+    ("0x1,0", "0x1"), ("1e0,0", "1e0"),
+])
+def test_parse_state_reads_ascii_digits_only(text, field):
+    # int() reads '1_0' as 10, ' +1' as 1, the Arabic-Indic three as 3 and '-0' as 0
+    with pytest.raises(ValueError, match=f"field {re.escape(repr(field))} is not a count"):
+        parse_state(text)
 
 
 def test_occupation_indices():
@@ -264,11 +277,12 @@ def test_a_loop_over_a_space_keeps_nothing(empty_cache, call):
 
 def test_shared_space_is_read_only():
     space = enumerate_states(5, 3)
-    for array in (space.occupations, space.labels, space.norms):
+    for array in (space.occupations, space.labels, space.norms, space.predecessors):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
-    for name in ("m", "occupations", "labels", "norms", "states", "new_attribute"):
+    for name in ("m", "occupations", "labels", "norms", "predecessors", "states",
+                 "new_attribute"):
         with pytest.raises(AttributeError):
             setattr(space, name, None)
     with pytest.raises(AttributeError):
@@ -319,20 +333,47 @@ def test_cold_build_caches_one_space(empty_cache):
 @pytest.mark.parametrize("m, n", [(1, 0), (3, 2), (16, 4), (2, 200), (200, 2)])
 def test_predicted_bytes_equal_the_arrays(m, n):
     space = StateSpace(m, n)
-    arrays = (space.occupations, space.labels, space.norms)
+    arrays = (space.occupations, space.labels, space.norms, space.predecessors)
     assert fock._space_nbytes(m, n) == sum(a.nbytes for a in arrays)
+    assert space.predecessors.dtype == np.int32 and space.predecessors.shape == (len(space), n)
 
 
-def test_space_bytes_guard_refuses_before_allocating():
-    # 2,001,000 states pass the state cap but would hold 4.0 GB of arrays
-    assert space_size(2000, 2) <= fock.MAX_SPACE_SIZE
+@pytest.mark.parametrize("m, n, held, fits_without_table", [
+    (2000, 2, "3.8 GiB", False),  # 2,001,000 states under the state cap, 4.1 GB of arrays
+    # 3,466,100 states: 0.99 GiB of occupations, labels and norms, and the
+    # predecessor table's 12 bytes per state take it over 1 GiB
+    (274, 3, "1.0 GiB", True),
+])
+def test_space_bytes_guard_refuses_before_allocating(m, n, held, fits_without_table):
+    assert space_size(m, n) <= fock.MAX_SPACE_SIZE
+    table = 4 * n * space_size(m, n)
+    assert (fock._space_nbytes(m, n) - table <= fock.MAX_SPACE_BYTES) == fits_without_table
     tracemalloc.start()
     try:
-        with pytest.raises(StateSpaceTooLargeError, match="3.8 GiB"):
-            enumerate_states(2000, 2)
+        with pytest.raises(StateSpaceTooLargeError, match=held):
+            enumerate_states(m, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     with pytest.raises(StateSpaceTooLargeError, match="GiB"):
         StateSpace(300, 3)
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (4, 1), (3, 5), (9, 3), (16, 4), (2, 130),
+                                  (40, 2)])
+def test_predecessors_rank_each_state_less_one_photon(m, n):
+    space = enumerate_states(m, n)
+    lower = enumerate_states(m, n - 1)
+    rows = np.arange(len(space))
+    for p in range(n):
+        # labels are the photons' modes, so every entry has a photon to take
+        less = space.occupations.astype(np.int64)
+        less[rows, space.labels[:, p]] -= 1
+        assert np.array_equal(space.predecessors[:, p], lower.ranks(less))
+    for r in range(0, len(space), max(1, len(space) // 7)):  # by the scalar rank too
+        state = space[r]
+        for p, mode in enumerate(occupation_indices(state)):
+            less = list(state)
+            less[mode] -= 1
+            assert space.predecessors[r, p] == lower.rank(less)

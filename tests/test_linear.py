@@ -264,9 +264,9 @@ def test_csv_and_samples_leave_the_tuple_view_unbuilt(tmp_path, monkeypatch):
     as_dict = dist.as_dict()
     loaded = read_distribution_csv(path)
     samples = sample_exact(np.eye(4), (1, 0, 2, 0), 3, np.random.default_rng(1))
-    for kept in (space, loaded.space):  # its size and its three arrays, nothing more
+    for kept in (space, loaded.space):  # its size and its four arrays, nothing more
         assert {name for name in StateSpace.__slots__ if getattr(kept, name) is not None} == {
-            "m", "n", "occupations", "labels", "norms"}
+            "m", "n", "occupations", "labels", "norms", "predecessors"}
     assert path.read_text().splitlines()[1:] == [
         f'"{",".join(map(str, s))}",{p:.17g}' for s, p in zip(space.states, dist.probs)
     ]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nlboson
 from nlboson import (
     DimensionError,
     NonlinearExperiment,
@@ -29,7 +30,7 @@ from nlboson import (
     unitarity_deviation,
 )
 
-from .oracles import three_step_amplitude
+from .oracles import operator_expansion_amplitude, three_step_amplitude
 
 BS = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
@@ -163,6 +164,38 @@ def test_components_match_operator_path_sum_oracle(m, n, seed):
             v, s, t,
         )
         assert abs(dist.probs[i] - abs(want) ** 2) <= 1e-12
+
+
+def _oracle_components(w, v, x, s):
+    """A_j(T) from the operator expansion of both legs through every intermediate R."""
+    space = enumerate_states(len(s), sum(s))
+    a = np.zeros((sum(s) + 1, len(space)), dtype=complex)
+    for r in space:
+        first = operator_expansion_amplitude(w, s, r)
+        for i, t in enumerate(space):
+            a[r[x - 1], i] += first * operator_expansion_amplitude(v, r, t)
+    return a
+
+
+@pytest.mark.parametrize("s, x", [
+    ((2, 0, 1, 1), 1), ((2, 0, 1, 1), 4), ((1, 1, 1, 1), 1), ((1, 1, 1, 1), 4),
+    ((0, 3, 1), 2), ((0, 3, 1), 3), ((2, 2), 1), ((3,), 1), ((0, 0, 0), 1), ((0, 0, 0), 3),
+], ids=["bunched n=4 x=1", "bunched n=4 x=m", "n=4 x=1", "n=4 x=m", "s_i=3 x=2",
+        "s_i=3 x=m", "m=2 n=4", "m=1", "vacuum x=1", "vacuum x=m"])
+def test_tagged_recursion_matches_the_operator_oracle(s, x):
+    w, v = haar_pair(len(s), 63 + sum(s) + x)
+    space, comps = photon_number_components(w, v, x, s)
+    assert comps.shape == (sum(s) + 1, len(space)) and comps.flags.c_contiguous
+    assert np.abs(comps - _oracle_components(w, v, x, s)).max() <= 1e-12
+
+
+def test_components_compute_no_permanent(spy):
+    batched = spy(nlboson.linalg, "permanents")
+    gathered = spy(nlboson.linalg, "gathered_permanents")
+    scalar = spy(nlboson.linalg, "permanent")
+    _, comps = _experiment(*haar_pair(9, 64), 5, (1, 1, 1) + (0,) * 6).components
+    assert comps.shape == (4, 165)
+    assert (len(batched), len(gathered), len(scalar)) == (0, 0, 0)
 
 
 def test_components_sum_to_the_linear_composite():

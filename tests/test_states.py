@@ -147,12 +147,12 @@ def test_every_state_entry_takes_numpy_integer_states(row):
 
 @pytest.mark.parametrize("text, message", [
     ("1.5,0.5,0", "cannot parse Fock state from '1.5,0.5,0': "
-                  "invalid literal for int() with base 10: '1.5'"),
+                  "field '1.5' is not a count in ASCII digits"),
     ("True,1,0", "cannot parse Fock state from 'True,1,0': "
-                 "invalid literal for int() with base 10: 'True'"),
+                 "field 'True' is not a count in ASCII digits"),
     ("110", "input state has 1 modes, expected 3"),  # one mode holding 110 photons
     ("1,-1,2", "cannot parse Fock state from '1,-1,2': "
-               "occupations must be non-negative, got (1, -1, 2)"),
+               "field '-1' is not a count in ASCII digits"),
     ("1,1", "input state has 2 modes, expected 3"),
 ], ids=["fraction", "bool", "text", "negative", "modes"])
 def test_cli_distribution_input_meets_the_state_rule(tmp_path, capsys, monkeypatch, text,
@@ -173,7 +173,7 @@ def test_cli_distribution_input_meets_the_state_rule(tmp_path, capsys, monkeypat
 
 STATE_PARAMETERS = {"input_state", "output_state", "state", "occupations"}
 COUNT_PARAMETERS = {"trials", "iterations", "n_unit", "n_max", "starts", "budget", "n_samples",
-                    "trial_budget", "count", "workers", "seed"}
+                    "trial_budget", "count", "workers", "seed", "threshold"}
 # per-state helpers: they read states that an entry has already checked
 STATE_EXEMPT = {"occupation_indices", "normalization_product", "photon_count", "format_state"}
 # a result record and an error that report a count rather than take one
