@@ -10,7 +10,6 @@ from .analysis import (
     ExperimentRecord,
     SearchResult,
     TruncationResult,
-    amplitude_metrics,
     bunching_at_site,
     bunching_global,
     default_gate_mode,

@@ -1,13 +1,11 @@
 """Metrics and parametric studies: total variation distance, bunching
-probabilities, sorted cumulative distributions, amplitude-level deviations,
-Haar truncation and random-search baselines, and the TVD-vs-bunching
-experiment driver.
+probabilities, sorted cumulative distributions, Haar truncation and
+random-search baselines, and the TVD-vs-bunching experiment driver.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -30,7 +28,6 @@ __all__ = [
     "bunching_global",
     "sorted_cumulative",
     "fraction_for_threshold",
-    "amplitude_metrics",
     "truncated_mass_study",
     "random_unitary_search",
     "tvd_bunching_experiment",
@@ -101,21 +98,6 @@ def _checked_threshold(p: float) -> float:
     return p
 
 
-def amplitude_metrics(a_nl: complex, a_ref: complex) -> tuple[float, float]:
-    """(relative modulus difference, argument difference reduced to [0, pi]).
-
-    Undefined for a vanishing reference amplitude; reported as NaNs.
-    """
-    if a_ref == 0:
-        return (math.nan, math.nan)
-    delta_abs = abs(abs(a_nl) - abs(a_ref)) / abs(a_ref)
-    d = abs(math.atan2(a_nl.imag, a_nl.real) - math.atan2(a_ref.imag, a_ref.real))
-    d = d % (2 * math.pi)
-    if d > math.pi:
-        d = 2 * math.pi - d
-    return (delta_abs, d)
-
-
 @dataclass(frozen=True, eq=False)
 class TruncationResult:
     """Kept probability mass when capping the per-mode occupation."""
@@ -150,11 +132,13 @@ def truncated_mass_study(n: int, m: int, n_max: int, n_unit: int,
 
 @dataclass(frozen=True, eq=False)
 class SearchResult:
-    """Best linear stand-in found by random search."""
+    """Best linear stand-in found by random search, and the non-linear
+    distribution it was measured against."""
 
     best_tvd: float
     best_unitary: np.ndarray
     trace: np.ndarray  # running best after each draw
+    target: Distribution
 
 
 def random_unitary_search(exp: NonlinearExperiment, iterations: int,
@@ -171,7 +155,7 @@ def random_unitary_search(exp: NonlinearExperiment, iterations: int,
         if d < best:
             best, best_u = d, u
         trace[i] = best
-    return SearchResult(best, best_u, trace)
+    return SearchResult(best, best_u, trace, target)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +298,8 @@ def tvd_bunching_experiment(
     ]
     records: list[ExperimentRecord] = []
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # spares one-worker runs its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_experiment_trial, tasks, chunksize=4):
                 records.extend(chunk)

@@ -317,10 +317,9 @@ def _cmd_analyze_linear_search(args) -> int:
     exp, _ = _load_experiment(args.config)
     rng = np.random.default_rng([args.seed, 3])
     result = random_unitary_search(exp, args.iterations, rng)
-    target = nonlinear_distribution(exp)
     # the linearized benchmark: the phase shifter's factors on the same components
     linearized = _layer_distribution(exp, exp.gate.linearized_factors(exp.n))
-    benchmark = tvd(linearized, target)
+    benchmark = tvd(linearized, result.target)
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
         fh.write("iteration,best_tvd\n")

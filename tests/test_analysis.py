@@ -9,13 +9,13 @@ from nlboson import (
     NonlinearExperiment,
     NotUnitaryError,
     SingleModePhase,
-    amplitude_metrics,
     bunching_at_site,
     bunching_global,
     default_gate_mode,
     enumerate_states,
     fraction_for_threshold,
     haar_unitary,
+    nonlinear_distribution,
     optimize_gadget,
     output_distribution,
     random_unitary_search,
@@ -151,30 +151,6 @@ def test_fraction_threshold_validation():
 
 
 # ---------------------------------------------------------------------------
-# amplitude metrics
-# ---------------------------------------------------------------------------
-
-def test_amplitude_metrics_cases():
-    a = 0.3 - 0.4j
-    assert amplitude_metrics(a, a) == pytest.approx((0.0, 0.0))
-    assert amplitude_metrics(-a, a) == pytest.approx((0.0, math.pi))
-    assert amplitude_metrics(2 * a, a) == pytest.approx((1.0, 0.0))
-
-
-def test_amplitude_metrics_argument_reduction():
-    # arguments 3 and -3 differ by 6 > pi, but are only 2*pi - 6 apart on the circle
-    a = np.exp(1j * 3.0)
-    b = np.exp(-1j * 3.0)
-    _, darg = amplitude_metrics(a, b)
-    assert darg == pytest.approx(2 * math.pi - 6.0)
-
-
-def test_amplitude_metrics_undefined_reference():
-    delta, darg = amplitude_metrics(1.0 + 0j, 0j)
-    assert math.isnan(delta) and math.isnan(darg)
-
-
-# ---------------------------------------------------------------------------
 # truncation study
 # ---------------------------------------------------------------------------
 
@@ -216,6 +192,16 @@ def test_search_trace_non_increasing():
     result = random_unitary_search(exp, 200, np.random.default_rng(89))
     assert np.all(np.diff(result.trace) <= 0)
     assert result.best_tvd == result.trace[-1]
+
+
+def test_search_reports_the_target_it_measured_against():
+    rng = np.random.default_rng(95)
+    w, v = haar_unitary(3, rng), haar_unitary(3, rng)
+    exp = NonlinearExperiment(w, v, SingleModePhase(2, 0.9), (1, 1, 0))
+    result = random_unitary_search(exp, 20, np.random.default_rng(96))
+    assert np.array_equal(result.target.probs, nonlinear_distribution(exp).probs)
+    best = output_distribution(result.best_unitary, exp.input_state)
+    assert tvd(best, result.target) == result.best_tvd
 
 
 def test_search_zero_phase_target_is_reachable():

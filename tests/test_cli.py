@@ -318,6 +318,16 @@ def test_linear_search_benchmark_is_the_linearized_circuit(tmp_path):
     assert abs(summary["tvd_linearized"] - want) <= 1e-12
 
 
+def test_linear_search_builds_its_target_once(tmp_path, spy):
+    cfg = tmp_path / "exp.json"
+    _write_experiment_config(cfg)
+    builds = spy(nlboson.nonlinear, "nonlinear_distribution")
+    argv = ["analyze", "linear-search", "--config", str(cfg), "--iterations", "3",
+            "--out", str(tmp_path / "search.csv")]
+    assert main(argv) == 0
+    assert len(builds) == 1
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["experiment", "tvd-bunching", "--n", "-1", "--modes", "3", "--k", "1"], "n=-1"),
     (["experiment", "tvd-bunching", "--n", "3", "--modes", "5", "--k", "1", "--mode-x", "9"],
