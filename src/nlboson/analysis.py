@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DimensionError
 from .fock import FockState, _checked_dimension, as_state
 from .gadget import GadgetSpec, _checked_ancillas, _require_gadget_for, optimize_gadget
-from .linalg import _checked_count, _checked_mode, haar_unitary
+from .linalg import _checked_count, _checked_mode, _checked_real, haar_unitary
 from .linear import Distribution, _amplitudes_to_all, _unit_sum_distribution, output_distribution
 from .nonlinear import NonlinearExperiment, SingleModePhase, nonlinear_distribution
 from .simulate import _heralded_distribution
@@ -84,15 +84,16 @@ def sorted_cumulative(dist: Distribution) -> tuple[np.ndarray, np.ndarray]:
 def fraction_for_threshold(dist: Distribution, p: float) -> float:
     """Smallest fraction of outcomes (taken by decreasing probability) whose
     cumulative mass reaches `p`."""
-    _checked_threshold(p)
+    p = _checked_threshold(p)
     _, cum = sorted_cumulative(dist)
     idx = int(np.searchsorted(cum, p - 1e-12, side="left"))
     idx = min(idx, len(cum) - 1)
     return (idx + 1) / len(cum)
 
 
-def _checked_threshold(p: float) -> float:
-    """`p` if it is a mass threshold in (0, 1], else ValueError."""
+def _checked_threshold(p) -> float:
+    """`p` as a float if it is a mass threshold in (0, 1], else ValueError."""
+    p = _checked_real(p, "threshold")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {p}")
     return p
@@ -190,6 +191,7 @@ def synthesize_gadgets(ks: Sequence[int], phi: float, seed: int, *,
                        starts: int = 60) -> dict[int, GadgetSpec]:
     """One gadget per ancilla count, each from its own derived random stream."""
     ks = sorted(set(map(_checked_ancillas, ks)))
+    phi = _checked_real(phi, "phi")
     seed = _checked_count(seed, "seed", 0)
     out: dict[int, GadgetSpec] = {}
     for k in ks:
@@ -266,6 +268,7 @@ def tvd_bunching_experiment(
     n = _checked_dimension(n, "n", 0)
     m_list = [_checked_dimension(m, "m", 1) for m in m_list]
     k_list = [_checked_dimension(k, "k", 1) for k in k_list]
+    phi = _checked_real(phi, "phi")
     if reference not in ("gadget", "pathsum"):
         raise ValueError(f"unknown reference {reference!r} (use 'gadget' or 'pathsum')")
     for m in m_list:
@@ -292,7 +295,7 @@ def tvd_bunching_experiment(
             )
         _require_gadget_for(gadgets[k], phi, f"gadget map entry k={k}")
     tasks = [
-        (n, m, k_list, float(phi), trial, seed, mode_x, dict(gadgets), reference)
+        (n, m, k_list, phi, trial, seed, mode_x, dict(gadgets), reference)
         for m in m_list
         for trial in range(trials)
     ]

@@ -140,7 +140,7 @@ def _load_experiment(path: str, phi_override: float | None = None
 
     w = realize("w_matrix", 0)
     v = realize("v_matrix", 1)
-    phi = float(cfg.get("phi", DEFAULT_PHI)) if phi_override is None else phi_override
+    phi = cfg.get("phi", DEFAULT_PHI) if phi_override is None else phi_override
     gate = SingleModePhase(cfg.get("mode_x", default_gate_mode(m)), phi)
     return NonlinearExperiment(w, v, gate, s), cfg.get("gadget")
 

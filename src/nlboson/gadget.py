@@ -37,10 +37,11 @@ from .errors import DimensionError, GadgetSynthesisError
 from .fock import _checked_dimension, _is_integer
 from .linalg import (
     _checked_count,
+    _checked_real,
+    _checked_tolerance,
     _mesh_unitary,
     _mesh_unitary_derivatives,
     _read_only_copy,
-    _require_finite_phase,
     _ryser_gray,
     matrix_from_json,
     matrix_to_json,
@@ -93,10 +94,10 @@ MAX_GADGET_DEVIATION = 2.5e-2
 
 @dataclass(frozen=True, eq=False)
 class GadgetSpec:
-    """A gadget: the finite phase ``phi`` it targets and a finite square
-    matrix ``u_eff`` of size >= 2, both checked on construction and the
-    matrix copied read-only.  Everything else is derived from them: ``k``
-    (the ancilla count, the matrix size minus one), ``success_prob`` (the
+    """A gadget: the finite phase ``phi`` it targets, stored as a float, and a
+    finite square matrix ``u_eff`` of size >= 2, both checked on construction
+    and the matrix copied read-only.  Everything else is derived from them:
+    ``k`` (the ancilla count, the matrix size minus one), ``success_prob`` (the
     heralding probability) and ``residual`` (the synthesis objective, the
     summed squared condition residuals at ``phi``).
     """
@@ -105,7 +106,7 @@ class GadgetSpec:
     u_eff: np.ndarray
 
     def __post_init__(self):
-        _require_finite_phase(self.phi)
+        object.__setattr__(self, "phi", _checked_real(self.phi, "phi"))
         object.__setattr__(self, "u_eff", _read_only_copy(_checked_gadget_matrix(self.u_eff)))
 
     @property
@@ -118,8 +119,7 @@ class GadgetSpec:
 
     @property
     def residual(self) -> float:
-        res = gadget_residuals(self.u_eff, self.phi)
-        return float(np.sum(res.real**2 + res.imag**2))
+        return _objective(gadget_residuals(self.u_eff, self.phi))
 
 
 def _checked_gadget_matrix(u_eff) -> np.ndarray:
@@ -176,9 +176,15 @@ def success_probability(u_eff) -> float:
 def gadget_residuals(u_eff, phi: float) -> np.ndarray:
     """Condition residuals per(u^{l,..}) - l! * per(u^{0,..}) * e^{-i l^2 phi}."""
     u = _checked_gadget_matrix(u_eff)
+    phi = _checked_real(phi, "phi")
     k = u.shape[0] - 1
     pers = _expanded_permanents(u, k)
-    return pers[1:] - pers[0] * _phase_targets(k, float(phi))
+    return pers[1:] - pers[0] * _phase_targets(k, phi)
+
+
+def _objective(res: np.ndarray) -> float:
+    """The synthesis objective: the summed squared moduli of the residuals."""
+    return float(np.sum(res.real**2 + res.imag**2))
 
 
 class _GlynnTables(NamedTuple):
@@ -295,6 +301,7 @@ def _heralding_probability(u: np.ndarray) -> float:
 def success_bound(phi: float) -> float:
     """Upper bound on the heralding probability of any exact k=2 realization:
     [3 - cos(pi + 2*phi)]^2 / 16."""
+    phi = _checked_real(phi, "phi")
     return (3.0 - math.cos(math.pi + 2.0 * phi)) ** 2 / 16.0
 
 
@@ -306,7 +313,7 @@ def apply_gadget(u_eff, coefficients) -> np.ndarray:
     amplitude, so |factor| <= 1.  A non-unitary matrix has no such bound, and
     this function does not check for one.
     """
-    u = np.asarray(u_eff, dtype=complex)
+    u = _checked_gadget_matrix(u_eff)
     k = u.shape[0] - 1
     c = np.asarray(coefficients, dtype=complex)
     if c.shape != (k + 1,):
@@ -359,7 +366,7 @@ def _residual_jacobian(x, m, phi, p_th, lam) -> np.ndarray:
     u, du = _mesh_unitary_derivatives(m, *_split_raw(x, m))
     pers, grads = _expanded_permanent_gradients(u, m - 1)
     dpers = grads.reshape(m, -1) @ du.reshape(len(du), -1).T  # (k+1, angles)
-    dres = dpers[1:] - _phase_targets(m - 1, float(phi))[:, None] * dpers[0]
+    dres = dpers[1:] - _phase_targets(m - 1, phi)[:, None] * dpers[0]
     jac = np.zeros((2 * m - 1, len(du)))
     jac[0:-1:2] = dres.real
     jac[1:-1:2] = dres.imag
@@ -397,9 +404,10 @@ def optimize_gadget(
     sensitive to p_th, so lowering it is the first thing to try.
     """
     k = _checked_ancillas(k)
-    _require_finite_phase(phi)
+    phi = _checked_real(phi, "phi")
     if p_th is None:
         p_th = DEFAULT_SUCCESS_THRESHOLDS[k]
+    p_th = _checked_real(p_th, "p_th")
     if not 0.0 < p_th < 1.0:
         raise ValueError(f"success threshold must be in (0, 1), got {p_th}")
     starts = _checked_count(starts, "starts", 1)
@@ -442,7 +450,7 @@ def optimize_gadget(
             if ls.fun[-1] == 0.0:  # no success shortfall at x
                 break
             lam *= 10.0
-        spec = GadgetSpec(float(phi), _matrix_from_raw(x, m))
+        spec = GadgetSpec(phi, _matrix_from_raw(x, m))
         obj, prob = spec.residual, spec.success_prob
         feasible = obj <= CONVERGENCE_OBJECTIVE and prob >= p_th - 1e-12
         key = (not feasible, obj, -prob, start)
@@ -513,15 +521,15 @@ def verify_gadget(spec: GadgetSpec, tol: float = 1e-6) -> dict:
     the max residual modulus and the unitarity deviation to stay within tol,
     which must be positive and finite.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, got tol={tol}")
-    max_res = float(np.abs(gadget_residuals(spec.u_eff, spec.phi)).max())
+    tol = _checked_tolerance(tol)
+    res = gadget_residuals(spec.u_eff, spec.phi)
+    max_res = float(np.abs(res).max())
     dev = unitarity_deviation(spec.u_eff)
     return {
         "k": spec.k,
         "phi": spec.phi,
         "success_prob": spec.success_prob,
-        "objective": spec.residual,
+        "objective": _objective(res),
         "max_residual": max_res,
         "unitarity_deviation": dev,
         "success_bound": success_bound(spec.phi) if spec.k == 2 else None,
@@ -544,11 +552,12 @@ def gadget_to_json(spec: GadgetSpec) -> dict:
 
 
 def gadget_from_json(obj: dict) -> GadgetSpec:
-    """The gadget a JSON object describes.  Its ``k`` must be the JSON integer
-    its ``u_eff`` gives; ``success_prob`` and ``residual`` are not read."""
+    """The gadget a JSON object describes.  Its ``phi`` must be a JSON number,
+    never cast, and its ``k`` the JSON integer its ``u_eff`` gives;
+    ``success_prob`` and ``residual`` are not read."""
     try:
         k = obj["k"]
-        spec = GadgetSpec(float(obj["phi"]), matrix_from_json(obj["u_eff"]))
+        spec = GadgetSpec(obj["phi"], matrix_from_json(obj["u_eff"]))
     except KeyError as exc:
         raise ValueError(f"malformed gadget JSON: missing {exc}") from None
     except TypeError as exc:

@@ -254,8 +254,10 @@ def require_unitary(U, tol: float = 1e-8, context: str = "") -> np.ndarray:
     """U as a complex array, or NotUnitaryError if max |U†U - I| exceeds `tol`.
 
     The default 1e-8 is the library's one unitarity gate: every linear network
-    and every W -> gate -> V sandwich is checked here, at that value.
+    and every W -> gate -> V sandwich is checked here, at that value.  `tol`
+    must be positive and finite.
     """
+    tol = _checked_tolerance(tol)
     u = _as_square(U)
     dev = _deviation(u)
     if dev > tol:
@@ -376,17 +378,35 @@ def _checked_count(value, name: str, minimum: int) -> int:
     return int(value)
 
 
-def _require_finite_phase(phi) -> None:
-    """ValueError unless `phi` is finite, the check of every gate, gadget and
-    phase shifter."""
-    if not math.isfinite(phi):
-        raise ValueError(f"phase phi must be finite, got phi={phi}")
+def _checked_real(value, name: str) -> float:
+    """A real argument as a Python float, or ValueError naming it `name`: any
+    int or float type passes (numpy's too); a bool, a string, a complex, None
+    or an array does not, nor does a non-finite value.  The one check of
+    every phase, probability threshold and tolerance."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be finite, got {name}={value}")
+    return real
+
+
+def _checked_tolerance(tol) -> float:
+    """A gate's tolerance as a float: real by `_checked_real`, and positive."""
+    tol = _checked_real(tol, "tol")
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive and finite, got tol={tol}")
+    return tol
 
 
 def phase_shifter(m: int, mode: int, phi: float) -> np.ndarray:
     """Identity except entry (mode, mode) = exp(-i*phi); mode is 1-based."""
+    m = _checked_dimension(m, "m", 1)
     mode = _checked_mode(mode, m, f"mode {mode}")
-    _require_finite_phase(phi)
+    phi = _checked_real(phi, "phi")
     f = np.eye(m, dtype=complex)
     f[mode - 1, mode - 1] = complex(math.cos(phi), -math.sin(phi))
     return f

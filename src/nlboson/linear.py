@@ -136,9 +136,18 @@ def output_distribution(U, input_state) -> Distribution:
     return _unit_sum_distribution(space, _amplitudes_to_all(u, s, space), u)
 
 
-def _inverse_sample(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+def _normalised_cdf(probs: np.ndarray) -> np.ndarray:
+    """Running sums of `probs` divided by their total, so the last is 1.0.
+
+    Inversion sampling and the rejection sampler's classifier both read this
+    one array, so a draw goes to the same state in either."""
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
+    return cdf
+
+
+def _inverse_sample(probs: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    cdf = _normalised_cdf(probs)
     draws = rng.random(count)
     idx = np.searchsorted(cdf, draws, side="right")
     return np.minimum(idx, len(probs) - 1)

@@ -55,8 +55,8 @@ from .fock import (
 )
 from .linalg import (
     _checked_mode,
+    _checked_real,
     _read_only_copy,
-    _require_finite_phase,
     matrix_from_states,
     permanent,
     phase_shifter,
@@ -78,14 +78,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SingleModePhase:
-    """exp(-i * n^2 * phi) on one mode; `mode` is 1-based, stored as an int."""
+    """exp(-i * n^2 * phi) on one mode; `mode` is 1-based, stored as an int,
+    and `phi` is stored as a float."""
 
     mode: int
     phi: float
 
     def __post_init__(self):
         object.__setattr__(self, "mode", _checked_mode(self.mode, None, f"gate mode {self.mode}"))
-        _require_finite_phase(self.phi)
+        object.__setattr__(self, "phi", _checked_real(self.phi, "phi"))
 
     def number_factors(self, n: int) -> np.ndarray:
         """Factors g_j = exp(-i j^2 phi) for j = 0..n photons at the gate site."""
@@ -276,7 +277,7 @@ def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state,
     Equal to :func:`phase_gate_amplitude` to rounding.
     """
     exp = NonlinearExperiment(w, v, SingleModePhase(mode_x, phi), input_state)
-    s, x = exp.input_state, exp.gate.mode
+    s, x, phi = exp.input_state, exp.gate.mode, exp.gate.phi
     t = _checked_state(output_state, exp.m, exp.n, "output state")
     ubar = linearized_evolution(exp.w, x, phi, exp.v)
     norm_s = math.sqrt(normalization_product(s))

@@ -28,7 +28,7 @@ from .errors import PostselectionError, SamplingBudgetError
 from .fock import FockState, StateSpace, concat_states, enumerate_states
 from .gadget import GadgetSpec, _require_gadget_for, heralded_factors
 from .linalg import _checked_count, direct_sum
-from .linear import Distribution, _amplitudes_to_all, _guard_space
+from .linear import Distribution, _amplitudes_to_all, _guard_space, _normalised_cdf
 from .nonlinear import NonlinearExperiment, SingleModePhase
 
 __all__ = [
@@ -225,8 +225,7 @@ def _heralded_classifier(probs: np.ndarray, accept_mask: np.ndarray):
     draws that inverse sampling of `probs` sends to a state in `accept_mask`,
     ascending, and those states' ranks (see :func:`run_rejection_sampling`).
     """
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
+    cdf = _normalised_cdf(probs)
     acc = np.flatnonzero(accept_mask)
     bounds = np.empty(2 * len(acc))  # [lo_0, hi_0, lo_1, hi_1, ...], sorted
     bounds[0::2] = np.where(acc > 0, cdf[acc - 1], 0.0)

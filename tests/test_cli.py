@@ -176,16 +176,20 @@ def test_simulate_runs_on_an_exported_rounded_reference_gadget(tmp_path):
     assert len(out.read_text().splitlines()) == 21
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
-def test_gadget_verify_bad_tolerance_is_an_error_line(tmp_path, capsys, tol):
+@pytest.mark.parametrize("tol, message", [
+    ("nan", "tol must be finite, got tol=nan"),
+    ("-1", "tolerance must be positive and finite, got tol=-1.0"),
+    ("0", "tolerance must be positive and finite, got tol=0.0"),
+    ("inf", "tol must be finite, got tol=inf"),
+])
+def test_gadget_verify_bad_tolerance_is_an_error_line(tmp_path, capsys, tol, message):
     gadget = tmp_path / "ref2.json"
     assert main(["gadget", "reference", "--k", "2", "--out", str(gadget)]) == 0
     capsys.readouterr()
     code = main(["gadget", "verify", "--gadget", str(gadget), f"--tol={tol}"])
     assert code == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
-    assert "tolerance must be positive and finite" in captured.err
+    assert captured.err == f"error: {message}\n"
     assert "FAILED" not in captured.out and "Traceback" not in captured.err
 
 
@@ -371,7 +375,7 @@ def test_non_finite_phase_is_an_error_line(tmp_path, capsys, phi):
     gadget = tmp_path / "g.json"  # a gadget file's own NaN or Infinity
     gadget.write_text(json.dumps({"k": 1, "phi": float(phi), "u_eff": matrix_to_json(np.eye(2))}))
     code = main(["gadget", "verify", "--gadget", str(gadget)])
-    _assert_error_line(capsys, code, f"phase phi must be finite, got phi={float(phi)}")
+    _assert_error_line(capsys, code, f"phi must be finite, got phi={float(phi)}")
 
 
 def _assert_error_line(capsys, code, fragment):
@@ -493,7 +497,7 @@ def test_linear_search_without_iterations_is_an_error_line(tmp_path, capsys, mon
     (["analyze", "cumulative", "--n", "2", "--m", "3", "--thresholds", "0.9,1.5"],
      "threshold must be in (0, 1], got 1.5"),
     (["analyze", "cumulative", "--n", "2", "--m", "3", "--thresholds", "nan"],
-     "threshold must be in (0, 1], got nan"),
+     "threshold must be finite, got threshold=nan"),
     (["permanent", "--matrix", "{matrix}"],
      "malformed matrix JSON: rows must be an integer >= 0, got 1.9"),
 ], ids=["gadget optimize seed", "simulate seed", "tvd-bunching seed", "cumulative seed",

@@ -17,6 +17,7 @@ from nlboson import (
     haar_unitary,
     matrix_from_json,
     optimize_gadget,
+    phase_shifter,
     random_unitary_search,
     reference_gadget,
     run_rejection_sampling,
@@ -147,7 +148,10 @@ def test_a_count_may_be_any_integer_type():
      "n must be an integer, got 2.5"),
     (lambda: truncated_mass_study(2, 3.0, 1, 2, np.random.default_rng(0)),
      "m must be an integer, got 3.0"),
-], ids=["space m", "space n", "space bool", "haar m", "truncation n", "truncation m"])
+    (lambda: phase_shifter(2.5, 1, 0.1), "m must be an integer, got 2.5"),
+    (lambda: phase_shifter(True, 1, 0.1), "m must be an integer, got True"),
+], ids=["space m", "space n", "space bool", "haar m", "truncation n", "truncation m",
+        "phase shifter m", "phase shifter bool m"])
 def test_a_dimension_must_be_an_integer(call, message):
     with pytest.raises(DimensionError) as err:
         call()

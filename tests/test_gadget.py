@@ -360,10 +360,10 @@ def test_synthesis_rejects_a_non_finite_phase(k, phi):
     with pytest.raises(ValueError, match="phi must be finite"):
         optimize_gadget(k, phi, starts=1, budget=1)
     # nor can a gadget hold one, built directly or read from a file
-    with pytest.raises(ValueError, match=f"phase phi must be finite, got phi={phi}"):
+    with pytest.raises(ValueError, match=f"^phi must be finite, got phi={phi}$"):
         GadgetSpec(phi, np.eye(k + 1))
     obj = {"k": k, "phi": phi, "u_eff": matrix_to_json(np.eye(k + 1))}
-    with pytest.raises(ValueError, match=f"phase phi must be finite, got phi={phi}"):
+    with pytest.raises(ValueError, match=f"^phi must be finite, got phi={phi}$"):
         gadget_from_json(json.loads(json.dumps(obj)))
 
 
@@ -414,6 +414,9 @@ def test_apply_gadget_never_amplifies():
 def test_apply_gadget_size_check():
     with pytest.raises(DimensionError):
         apply_gadget(np.eye(3), np.array([1.0, 0.0]))
+    # the matrix is checked before its size is read
+    with pytest.raises(DimensionError, match="expected a square matrix of size >= 2"):
+        apply_gadget(5, [1])
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +427,13 @@ def test_verify_gadget_passes_for_synthesized(gadget_k2):
     report = verify_gadget(gadget_k2, tol=1e-6)
     assert report["ok"]
     assert report["success_bound"] == pytest.approx(0.25)
+
+
+def test_verify_gadget_makes_one_residual_pass(spy, gadget_k2):
+    calls = spy(gadget, "gadget_residuals")
+    report = verify_gadget(gadget_k2)
+    assert len(calls) == 1
+    assert report["objective"] == gadget_k2.residual
 
 
 def test_verify_gadget_fails_for_corrupted(gadget_k2):
@@ -442,10 +452,17 @@ def test_verify_gadget_reports_a_non_unitary_gadget_without_refusing_it():
     assert report["unitarity_deviation"] == pytest.approx(3.0, abs=1e-2)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-def test_verify_gadget_refuses_a_tolerance_that_is_not_positive_and_finite(gadget_k2, tol):
-    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+@pytest.mark.parametrize("tol, message", [
+    (0.0, "tolerance must be positive and finite, got tol=0.0"),
+    (-1.0, "tolerance must be positive and finite, got tol=-1.0"),
+    (math.nan, "tol must be finite, got tol=nan"),
+    (math.inf, "tol must be finite, got tol=inf"),
+])
+def test_verify_gadget_refuses_a_tolerance_that_is_not_positive_and_finite(gadget_k2, tol,
+                                                                           message):
+    with pytest.raises(ValueError) as err:
         verify_gadget(gadget_k2, tol=tol)
+    assert str(err.value) == message
 
 
 def test_gadget_json_round_trip(tmp_path, gadget_k2):

@@ -322,7 +322,7 @@ def test_gate_rejects_a_non_finite_phase(phi):
                  lambda: linearized_evolution(w, 2, phi, v),
                  lambda: phase_gate_amplitude(w, 2, phi, v, s, t),
                  lambda: phase_gate_amplitude_split(w, 2, phi, v, s, t)):
-        with pytest.raises(ValueError, match=f"phase phi must be finite, got phi={phi}"):
+        with pytest.raises(ValueError, match=f"^phi must be finite, got phi={phi}$"):
             call()
 
 

@@ -29,7 +29,7 @@ from nlboson import (
 )
 from nlboson.fock import enumerate_states
 from nlboson.gadget import MAX_GADGET_DEVIATION, gadget_from_json
-from nlboson.linear import Distribution, _inverse_sample
+from nlboson.linear import Distribution, _inverse_sample, _normalised_cdf
 from nlboson.simulate import _enlarged_output_probs, _heralded_classifier
 
 from .oracles import operator_expansion_amplitude, rejection_loop
@@ -401,8 +401,7 @@ class _FixedDraws:
 
 def _edge_draws(probs):
     """0, 1 - 2^-53, every CDF boundary and the floats on either side of it."""
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
+    cdf = _normalised_cdf(probs)
     u = np.concatenate([[0.0, 1.0 - 2.0**-53], cdf, np.nextafter(cdf, 0.0),
                         np.nextafter(cdf, 1.0)])
     return u[(u >= 0.0) & (u < 1.0)]

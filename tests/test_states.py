@@ -2,9 +2,10 @@
 for its occupations (integers of any int type, never a bool, a float or a
 string, and never cast) and `fock._checked_state` for its modes and photons.
 Each entry refuses a bad state with one of three messages before it builds a
-state space or takes a permanent.  The last two tests read the signatures of
-the public names, so a new entry that takes a state or a count must join this
-table or the count table of test_counts."""
+state space or takes a permanent.  The last three tests read the signatures
+of the public names, so a new entry that takes a state, a count or a real must
+join this table, the count table of test_counts or the real table of
+test_reals."""
 
 import inspect
 
@@ -36,6 +37,7 @@ from nlboson import (
 )
 from nlboson import cli, fock, linalg, linear, nonlinear, simulate
 from tests.test_counts import COUNTS
+from tests.test_reals import REALS
 
 EYE = np.eye(3)
 GOOD = (1, 1, 0)  # two photons in three modes
@@ -178,6 +180,9 @@ COUNT_PARAMETERS = {"trials", "iterations", "n_unit", "n_max", "starts", "budget
 STATE_EXEMPT = {"occupation_indices", "normalization_product", "photon_count", "format_state"}
 # a result record and an error that report a count rather than take one
 COUNT_EXEMPT = {"AcceptanceStats", "ExperimentRecord", "SamplingBudgetError"}
+REAL_PARAMETERS = {"phi", "p", "p_th", "tol", "tolerance"}
+# a record and an error that report a real, and tvd, whose p is a distribution
+REAL_EXEMPT = {"ExperimentRecord", "NotUnitaryError", "tvd"}
 
 
 def _public_parameters():
@@ -214,3 +219,13 @@ def test_every_public_count_is_in_the_count_table():
     assert sorted(takes - tabled) == []
     assert {name for name, *_ in COUNTS} <= COUNT_PARAMETERS | {"units"}
     assert len(takes) >= 12  # the scan found the public names
+
+
+def test_every_public_real_is_in_the_real_table():
+    takes = {(name, param) for name, params in _public_parameters().items()
+             for param in params & REAL_PARAMETERS}
+    tabled = {(entry, param) for param, _, entry, _ in REALS}
+    assert sorted({t for t in takes if t[0] not in REAL_EXEMPT} - tabled) == []
+    assert sorted(tabled - takes) == []  # every row names a real parameter
+    assert sorted(REAL_EXEMPT - {name for name, _ in takes}) == []
+    assert len(tabled) == len(REALS) >= 15  # the scan found the public names
