@@ -210,11 +210,10 @@ def _cmd_simulate(args) -> int:
     setup = SimulationSetup(exp, load_gadget(gadget_path))
     _, p_ps = postselected_distribution(setup)
     rng = np.random.default_rng([args.seed, 2])
-    samples, stats = run_rejection_sampling(setup, args.samples, rng)
+    _, stats = run_rejection_sampling(setup, args.samples, rng)
 
     exact = nonlinear_distribution(exp)
-    ranks = exact.space.ranks(np.array(samples, dtype=np.int64))  # rows the sampler built
-    counts = np.bincount(ranks, minlength=len(exact.space))
+    counts = np.bincount(stats.ranks, minlength=len(exact.space))
     empirical = Distribution(exact.space, counts / counts.sum())
 
     out = Path(args.out)
@@ -222,7 +221,7 @@ def _cmd_simulate(args) -> int:
     with open(out, "w", newline="") as fh:
         fh.write("index,state,accepted_trial_count\n")
         fh.writelines(f'{i},"{text[r]}",{trials}\n' for i, (r, trials)
-                      in enumerate(zip(ranks.tolist(), stats.trial_counts.tolist())))
+                      in enumerate(zip(stats.ranks.tolist(), stats.trial_counts.tolist())))
     summary = {
         "p_postselect": p_ps,
         "tvd_vs_exact": tvd(empirical, exact),

@@ -15,7 +15,7 @@ import math
 import sys
 import threading
 from collections import OrderedDict
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import getitem, index
 from typing import Iterable, Iterator, Sequence
 
@@ -329,37 +329,6 @@ class StateSpace:
         # row; map stops at the last row, before the sum over all m modes
         rows = self._rank_rows or self._rank_offsets()
         return sum(map(getitem, rows, accumulate(reversed(key))))
-
-    def ranks(self, occupations) -> np.ndarray:
-        """Positions of many states at once, one per row of `occupations`.
-
-        Checks every row as :meth:`rank` checks one state, in the same words.
-        """
-        occ = np.asarray(occupations)
-        if occ.ndim == 1 and occ.size == 0:  # no states at all
-            occ = np.zeros((0, self.m), dtype=np.int64)
-        # numpy reads a Python bool among ints as an int, so rows that are not
-        # yet an array are scanned for one
-        if occ.dtype.kind not in "iu" or (
-                occ.ndim == 2 and not isinstance(occupations, np.ndarray)
-                and bool in map(type, chain.from_iterable(occupations))):
-            raise ValueError(f"occupations must be integers, got {occupations!r}")
-        if occ.ndim != 2:
-            raise DimensionError(f"states must be rows of occupations, got shape {occ.shape}")
-        if occ.shape[1] != self.m:
-            raise DimensionError(f"state has {occ.shape[1]} modes, expected {self.m}")
-        negative = np.flatnonzero((occ < 0).any(axis=1))
-        if negative.size:
-            raise ValueError(
-                f"occupations must be non-negative, got {tuple(occ[negative[0]].tolist())}"
-            )
-        photons = occ.sum(axis=1)
-        wrong = np.flatnonzero(photons != self.n)
-        if wrong.size:
-            raise DimensionError(f"state has {int(photons[wrong[0]])} photons, expected {self.n}")
-        table = np.array(self._rank_offsets(), dtype=np.int64).reshape(self.m - 1, self.n + 1)
-        suffix = np.cumsum(occ[:, :0:-1], axis=1)
-        return table[np.arange(self.m - 1), suffix].sum(axis=1)
 
     def unrank(self, rank: int) -> FockState:
         """Inverse of :meth:`rank`."""

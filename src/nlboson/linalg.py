@@ -394,6 +394,14 @@ def _checked_real(value, name: str) -> float:
     return real
 
 
+def _wrapped_phase(phi: float) -> float:
+    """`phi` reduced by ``math.fmod(phi, 2 pi)``, the angle every gate factor
+    is formed from.  The gates are 2 pi-periodic in phi, fmod is exact and
+    returns phi itself for |phi| < 2 pi, and a multiple j^2 phi of a huge
+    finite phi would overflow to inf."""
+    return math.fmod(phi, 2 * math.pi)
+
+
 def _checked_tolerance(tol) -> float:
     """A gate's tolerance as a float: real by `_checked_real`, and positive."""
     tol = _checked_real(tol, "tol")
@@ -406,7 +414,7 @@ def phase_shifter(m: int, mode: int, phi: float) -> np.ndarray:
     """Identity except entry (mode, mode) = exp(-i*phi); mode is 1-based."""
     m = _checked_dimension(m, "m", 1)
     mode = _checked_mode(mode, m, f"mode {mode}")
-    phi = _checked_real(phi, "phi")
+    phi = _wrapped_phase(_checked_real(phi, "phi"))
     f = np.eye(m, dtype=complex)
     f[mode - 1, mode - 1] = complex(math.cos(phi), -math.sin(phi))
     return f

@@ -57,6 +57,7 @@ from .linalg import (
     _checked_mode,
     _checked_real,
     _read_only_copy,
+    _wrapped_phase,
     matrix_from_states,
     permanent,
     phase_shifter,
@@ -90,12 +91,14 @@ class SingleModePhase:
 
     def number_factors(self, n: int) -> np.ndarray:
         """Factors g_j = exp(-i j^2 phi) for j = 0..n photons at the gate site."""
-        return _unit_phases([-(j * j) * self.phi for j in range(n + 1)])
+        phi = _wrapped_phase(self.phi)
+        return _unit_phases([-(j * j) * phi for j in range(n + 1)])
 
     def linearized_factors(self, n: int) -> np.ndarray:
         """Factors g_j = exp(-i j phi) of the phase shifter exp(-i n_x phi) that
         stands in for the gate in the linearized benchmark."""
-        return _unit_phases([-j * self.phi for j in range(n + 1)])
+        phi = _wrapped_phase(self.phi)
+        return _unit_phases([-j * phi for j in range(n + 1)])
 
 
 def _unit_phases(angles) -> np.ndarray:
@@ -277,7 +280,7 @@ def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state,
     Equal to :func:`phase_gate_amplitude` to rounding.
     """
     exp = NonlinearExperiment(w, v, SingleModePhase(mode_x, phi), input_state)
-    s, x, phi = exp.input_state, exp.gate.mode, exp.gate.phi
+    s, x, phi = exp.input_state, exp.gate.mode, _wrapped_phase(exp.gate.phi)
     t = _checked_state(output_state, exp.m, exp.n, "output state")
     ubar = linearized_evolution(exp.w, x, phi, exp.v)
     norm_s = math.sqrt(normalization_product(s))

@@ -143,11 +143,12 @@ def _heralded_distribution(space: StateSpace, components: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class AcceptanceStats:
-    """Bookkeeping of the rejection loop."""
+    """Bookkeeping of the rejection loop; its arrays hold one entry per accepted sample."""
 
     accepted: int
     trials: int
     trial_counts: np.ndarray  # raw draws consumed per accepted sample
+    ranks: np.ndarray  # read-only: the sample's rank in the m-mode, n-photon space
 
     @property
     def acceptance_rate(self) -> float:
@@ -184,6 +185,10 @@ def run_rejection_sampling(
     Every draw gets the state ``searchsorted(cdf, u, side="right")`` gives
     it, so samples and ``trial_counts`` are those of testing each draw of
     the full inverse sampler against the heralding.
+
+    The heralded states share the ancilla suffix (1, ..., 1), so in enlarged
+    rank order they are the m-mode, n-photon space in its rank order: a kept
+    draw's index among them is its sample's rank there, kept in ``ranks``.
     """
     m, n, k = setup.m, setup.n, setup.k
     n_samples = _checked_count(n_samples, "n_samples", 1)
@@ -196,7 +201,7 @@ def run_rejection_sampling(
     classify = _heralded_classifier(probs, (space.occupations[:, m:] == 1).all(axis=1))
 
     chunk = 4096
-    drawn: list[np.ndarray] = []  # enlarged-space ranks of the accepted draws
+    drawn: list[np.ndarray] = []  # main-space ranks of the accepted draws
     hits: list[np.ndarray] = []  # their 1-based positions in the raw stream
     accepted = 0
     trials = 0
@@ -212,18 +217,21 @@ def run_rejection_sampling(
         trials += take
     if accepted < n_samples:
         raise SamplingBudgetError(accepted, trials, n_samples)
-    samples = list(map(tuple, space.occupations[np.concatenate(drawn), :m].tolist()))
+    ranks = np.concatenate(drawn)
+    ranks.setflags(write=False)
+    samples = list(map(tuple, enumerate_states(m, n).occupations[ranks].tolist()))
     stats = AcceptanceStats(
         accepted=accepted, trials=trials,
-        trial_counts=np.diff(np.concatenate(hits), prepend=0),
+        trial_counts=np.diff(np.concatenate(hits), prepend=0), ranks=ranks,
     )
     return samples, stats
 
 
 def _heralded_classifier(probs: np.ndarray, accept_mask: np.ndarray):
-    """``classify(u) -> (positions, ranks)``: the positions in `u` of the
+    """``classify(u) -> (positions, indices)``: the positions in `u` of the
     draws that inverse sampling of `probs` sends to a state in `accept_mask`,
-    ascending, and those states' ranks (see :func:`run_rejection_sampling`).
+    ascending, and those states' indices among the accepted states, in rank
+    order (see :func:`run_rejection_sampling`).
     """
     cdf = _normalised_cdf(probs)
     acc = np.flatnonzero(accept_mask)
@@ -240,7 +248,7 @@ def _heralded_classifier(probs: np.ndarray, accept_mask: np.ndarray):
         cand = np.flatnonzero(marked[(u * grid).astype(np.intp)])
         j = np.searchsorted(bounds, u[cand], side="right")
         inside = (j & 1).astype(bool)  # odd: past a lo, not yet past its hi
-        return cand[inside], acc[j[inside] >> 1]
+        return cand[inside], j[inside] >> 1
 
     return classify
 

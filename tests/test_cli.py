@@ -208,6 +208,41 @@ def test_experiment_command_byte_identical_reruns(tmp_path):
     assert "m=3,k=1" in summary and "m=4,k=1" in summary
 
 
+def test_simulate_command_byte_identical_reruns_at_the_benchmark_shape(tmp_path):
+    # n = 3, m = 5 with the committed exact k = 3 gadget and 5000 samples
+    gadget = Path(__file__).parent.parent / "perfbench" / "inputs" / "gadget_k3_pi2.json"
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"input_state": [1, 1, 1, 0, 0], "seed": 7, "phi": math.pi / 2,
+                               "gadget": str(gadget)}))
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.csv"
+        assert main(["simulate", "--config", str(cfg), "--samples", "5000", "--seed", "8",
+                     "--out", str(out)]) == 0
+        runs.append((out.read_bytes(), (tmp_path / f"{name}_summary.json").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0].count(b"\n") == 5001
+
+
+def test_a_huge_phase_runs_as_its_value_mod_two_pi(tmp_path, capsys):
+    reduced = math.fmod(1e308, 2 * math.pi)
+    cfg = tmp_path / "exp.json"
+    _write_experiment_config(cfg)
+    texts = []
+    for phi in (1e308, reduced):
+        out = tmp_path / "nl.csv"
+        assert main(["nonlinear-distribution", "--config", str(cfg), f"--phi={phi!r}",
+                     "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    # a gadget synthesised at the huge phase verifies at it
+    gadget = tmp_path / "g.json"
+    assert main(["gadget", "optimize", "--k", "1", "--phi=1e308", "--out", str(gadget)]) == 0
+    assert json.loads(gadget.read_text())["phi"] == 1e308
+    assert main(["gadget", "verify", "--gadget", str(gadget)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok"
+
+
 def test_analyze_cumulative_command(tmp_path):
     out = tmp_path / "cum.csv"
     code = main([

@@ -465,6 +465,18 @@ def test_verify_gadget_refuses_a_tolerance_that_is_not_positive_and_finite(gadge
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("spec", [None, reference_gadget(2).u_eff, {"k": 2}],
+                         ids=["none", "matrix", "dict"])
+def test_verify_and_save_refuse_what_is_not_a_gadget_spec(tmp_path, spec):
+    message = f"spec must be a GadgetSpec, got {type(spec).__name__}"
+    path = tmp_path / "gadget.json"
+    for call in (verify_gadget, gadget_to_json, lambda s: save_gadget(path, s)):
+        with pytest.raises(TypeError) as err:
+            call(spec)
+        assert str(err.value) == message
+    assert not path.exists()
+
+
 def test_gadget_json_round_trip(tmp_path, gadget_k2):
     path = tmp_path / "gadget.json"
     save_gadget(path, gadget_k2)

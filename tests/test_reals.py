@@ -213,6 +213,48 @@ def test_a_study_refuses_a_nan_phase_before_comparing_gadgets(monkeypatch):
     assert str(err.value) == "phi must be finite, got phi=nan"
 
 
+def _computed(result) -> np.ndarray:
+    """The numbers an entry computed from its phase, not the phase it stores."""
+    if isinstance(result, SingleModePhase):
+        parts = [result.number_factors(3), result.linearized_factors(3)]
+    elif isinstance(result, GadgetSpec):
+        parts = [result.u_eff, [result.residual, result.success_prob]]
+    elif isinstance(result, dict):  # synthesized gadgets by ancilla count
+        parts = [_computed(spec) for spec in result.values()]
+    elif isinstance(result, list):  # study records
+        parts = [[r.tvd, r.p_bunch_site, r.p_bunch_global, r.p_postselect] for r in result]
+    else:
+        parts = [result]
+    return np.concatenate([np.ravel(np.asarray(p, dtype=complex)) for p in parts])
+
+
+def _phase_result(call, phi):
+    try:
+        return call(phi)
+    except GadgetSynthesisError as err:  # the one-step search: its best attempt
+        return err.best
+
+
+PHASE_ROWS = [row for row in REALS if row[0] == "phi"]
+
+
+@pytest.mark.parametrize("phi", [1e308, -1e308])
+@pytest.mark.parametrize("call", [row[3] for row in PHASE_ROWS],
+                         ids=[row[2] for row in PHASE_ROWS])
+def test_a_huge_phase_computes_as_its_value_mod_two_pi(call, phi):
+    # a multiple j^2 phi of the huge phase would overflow to inf
+    huge = _computed(_phase_result(call, phi))
+    assert np.isfinite(huge).all()
+    assert np.array_equal(huge, _computed(_phase_result(call, math.fmod(phi, 2 * math.pi))))
+
+
+def test_a_phase_within_two_pi_is_its_own_reduction():
+    for phi in (0.0, -0.0, 1e-300, math.pi / 2, -math.pi, math.nextafter(2 * math.pi, 0.0)):
+        assert np.array_equal(SingleModePhase(1, phi).number_factors(4),
+                              [complex(math.cos(j * j * phi), -math.sin(j * j * phi))
+                               for j in range(5)])
+
+
 def test_a_range_check_runs_after_the_rule_and_keeps_its_wording():
     with pytest.raises(ValueError, match=r"^success threshold must be in \(0, 1\), got 1.0$"):
         _search(p_th=np.int64(1))

@@ -345,6 +345,9 @@ def _assert_matches_per_draw_loop(setup, space, probs, mask, n_samples, seed, bu
     assert samples == [space.states[i][:setup.m] for i in ranks]
     assert stats.trials == trials
     assert stats.trial_counts.tolist() == counts
+    main = enumerate_states(setup.m, setup.n)
+    assert stats.ranks.tolist() == [main.rank(s) for s in samples]
+    assert not stats.ranks.flags.writeable
     return trials
 
 
@@ -409,12 +412,13 @@ def _edge_draws(probs):
 
 def _assert_classifier_matches_inversion(probs, mask, u) -> int:
     """The classifier keeps exactly the draws whose inverse-sampled state is
-    heralded, with that state's rank; returns how many it kept."""
+    heralded, with that state's index among the heralded states; returns how
+    many it kept."""
     idx = _inverse_sample(probs, len(u), _FixedDraws(u))
-    pos, ranks = _heralded_classifier(probs, mask)(u)
+    pos, indices = _heralded_classifier(probs, mask)(u)
     want = np.flatnonzero(mask[idx])
     assert pos.tolist() == want.tolist()
-    assert ranks.tolist() == idx[want].tolist()
+    assert np.flatnonzero(mask)[indices].tolist() == idx[want].tolist()
     return len(want)
 
 
@@ -444,6 +448,26 @@ def test_heralded_classifier_matches_inversion_on_an_enlarged_cdf(gadget_k2):
     _, _, probs, mask = _rejection_case(gadget_k2, 82)
     u = np.concatenate([_edge_draws(probs), np.random.default_rng(83).random(300 * 4096)])
     assert _assert_classifier_matches_inversion(probs, mask, u) > 1000
+
+
+def test_heralded_classifier_matches_inversion_for_a_bunched_input(gadget_k2):
+    _, _, probs, mask = _rejection_case(gadget_k2, 84, state=(2, 0, 1))
+    u = np.concatenate([_edge_draws(probs), np.random.default_rng(85).random(100 * 4096)])
+    assert _assert_classifier_matches_inversion(probs, mask, u) > 1000
+
+
+@pytest.mark.parametrize("m, n, k", [(3, 3, 1), (3, 3, 2), (4, 2, 2), (2, 2, 3), (3, 1, 3),
+                                     (4, 0, 2), (1, 3, 2), (5, 3, 3)])
+def test_heralded_states_are_the_main_space_in_rank_order(m, n, k):
+    # the heralded rank of a kept draw is its sample's rank in the main space
+    enlarged = enumerate_states(m + k, n + k).occupations
+    heralded = enlarged[(enlarged[:, m:] == 1).all(axis=1)]
+    assert np.array_equal(heralded[:, :m], enumerate_states(m, n).occupations)
+
+
+def test_rejection_sampling_with_a_bunched_input_matches_per_draw_loop(gadget_k2):
+    case = _rejection_case(gadget_k2, 86, state=(2, 0, 1))
+    assert _assert_matches_per_draw_loop(*case, 500, 87, 10**6) > 500
 
 
 def test_rejection_sampling_enlarged_space_guard():

@@ -57,13 +57,12 @@ UNTOUCHED = [(linear, "enumerate_states"), (nonlinear, "enumerate_states"),
              (linalg, "permanents"), (linalg, "_ryser_gray")]
 
 # (entry and slot, the name its messages give the state, whether its photon
-# number is fixed, call(argument), the argument a state is passed as)
+# number is fixed, call(state))
 STATES = [
     ("as_state", None, False, as_state),
     ("concat_states first", None, False, lambda s: concat_states(s, (1,))),
     ("concat_states second", None, False, lambda s: concat_states((1,), s)),
     ("StateSpace.rank", "state", True, SPACE.rank),
-    ("StateSpace.ranks", "state", True, SPACE.ranks, lambda s: [s]),
     ("Distribution.prob_of", "state", True, DIST.prob_of),
     ("matrix_from_states input", "input state", False,
      lambda s: matrix_from_states(EYE, s, GOOD)),
@@ -112,38 +111,31 @@ def _bad_states(name, photons):
     return rows
 
 
-def _form(row):
-    """How the entry of `row` is handed a state: as is, or as the one row of a batch."""
-    return row[4] if len(row) > 4 else (lambda s: s)
-
-
-CASES = [pytest.param(row[3], _form(row), *bad, id=f"{row[0]}-{bad[0]}")
+CASES = [pytest.param(row[3], *bad, id=f"{row[0]}-{bad[0]}")
          for row in STATES for bad in _bad_states(row[1], row[2])]
 
 
-@pytest.mark.parametrize("call, form, kind, state, error, message", CASES)
+@pytest.mark.parametrize("call, kind, state, error, message", CASES)
 def test_every_state_entry_refuses_a_bad_state_by_one_rule_before_any_work(
-        monkeypatch, call, form, kind, state, error, message):
-    argument = form(state)
+        monkeypatch, call, kind, state, error, message):
     if message is None:
-        message = f"occupations must be integers, got {argument!r}"
+        message = f"occupations must be integers, got {state!r}"
     for module, attribute in UNTOUCHED:
         monkeypatch.setattr(module, attribute, _untouched)
     with pytest.raises(error) as err:
-        call(argument)
+        call(state)
     assert type(err.value) is error
     assert str(err.value) == message
 
 
 @pytest.mark.parametrize("row", STATES, ids=STATE_IDS)
 def test_every_state_entry_takes_numpy_integer_states(row):
-    _, name, _, call = row[:4]
-    form = _form(row)
+    _, name, _, call = row
     space_row = SPACE.occupations[SPACE.rank(GOOD)]  # int8
     for state in (space_row, np.array(GOOD), np.array(GOOD, dtype=np.uint16)):
-        result = call(form(state))
+        result = call(state)
         if name is None:  # as_state and concat_states hand back Python ints
-            assert result == call(form(GOOD))
+            assert result == call(GOOD)
             assert all(type(c) is int for c in result)
 
 
