@@ -41,9 +41,11 @@ from .linalg import (
     _checked_tolerance,
     _mesh_unitary,
     _mesh_unitary_derivatives,
+    _phase_factors,
+    _phase_residue,
     _read_only_copy,
+    _require_type,
     _ryser_gray,
-    _wrapped_phase,
     matrix_from_json,
     matrix_to_json,
     phase_shifter,
@@ -147,12 +149,6 @@ def _require_usable_gadget(u_eff, context: str) -> None:
     """NotUnitaryError if `u_eff` deviates from unitarity by more than
     MAX_GADGET_DEVIATION, the gate of every circuit that embeds a gadget."""
     require_unitary(u_eff, MAX_GADGET_DEVIATION, context)
-
-
-def _require_spec(spec) -> None:
-    """TypeError unless `spec` is a :class:`GadgetSpec`."""
-    if not isinstance(spec, GadgetSpec):
-        raise TypeError(f"spec must be a GadgetSpec, got {type(spec).__name__}")
 
 
 def _require_gadget_for(spec: GadgetSpec, phi: float, context: str) -> None:
@@ -292,10 +288,9 @@ def _expanded_permanent_gradients(u: np.ndarray, n: int):
 @functools.lru_cache(maxsize=64)
 def _phase_targets(k: int, phi: float) -> np.ndarray:
     """l! e^{-i l^2 phi} for l = 1..k, the condition targets per unit per_0."""
-    phi = _wrapped_phase(phi)
+    factors = _phase_factors(phi, [l * l for l in range(1, k + 1)])
     targets = np.array(
-        [math.factorial(l) * complex(math.cos(l * l * phi), -math.sin(l * l * phi))
-         for l in range(1, k + 1)],
+        [math.factorial(l) * complex(f) for l, f in enumerate(factors, start=1)],
         dtype=complex,
     )
     targets.setflags(write=False)
@@ -311,7 +306,7 @@ def success_bound(phi: float) -> float:
     """Upper bound on the heralding probability of any exact k=2 realization:
     [3 - cos(pi + 2*phi)]^2 / 16."""
     phi = _checked_real(phi, "phi")
-    return (3.0 - math.cos(math.pi + 2.0 * _wrapped_phase(phi))) ** 2 / 16.0
+    return (3.0 - math.cos(math.pi + 2.0 * _phase_residue(phi))) ** 2 / 16.0
 
 
 def apply_gadget(u_eff, coefficients) -> np.ndarray:
@@ -530,7 +525,7 @@ def verify_gadget(spec: GadgetSpec, tol: float = 1e-6) -> dict:
     the max residual modulus and the unitarity deviation to stay within tol,
     which must be positive and finite.
     """
-    _require_spec(spec)
+    _require_type(spec, GadgetSpec, "spec")
     tol = _checked_tolerance(tol)
     res = gadget_residuals(spec.u_eff, spec.phi)
     max_res = float(np.abs(res).max())
@@ -552,7 +547,7 @@ def verify_gadget(spec: GadgetSpec, tol: float = 1e-6) -> dict:
 # ---------------------------------------------------------------------------
 
 def gadget_to_json(spec: GadgetSpec) -> dict:
-    _require_spec(spec)
+    _require_type(spec, GadgetSpec, "spec")
     return {
         "k": spec.k,
         "phi": spec.phi,

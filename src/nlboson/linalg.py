@@ -394,12 +394,28 @@ def _checked_real(value, name: str) -> float:
     return real
 
 
-def _wrapped_phase(phi: float) -> float:
-    """`phi` reduced by ``math.fmod(phi, 2 pi)``, the angle every gate factor
-    is formed from.  The gates are 2 pi-periodic in phi, fmod is exact and
-    returns phi itself for |phi| < 2 pi, and a multiple j^2 phi of a huge
-    finite phi would overflow to inf."""
-    return math.fmod(phi, 2 * math.pi)
+def _phase_residue(phi: float) -> float:
+    """`phi` itself below 2 pi in modulus; past it, its residue mod 2 pi in
+    [-pi, pi], from libm's exactly reduced sine and cosine.  A multiple of a
+    huge finite phase would overflow, and the float 2*pi is no period of the
+    gate (``math.fmod(1e308, 2*pi)`` is off by about 4e291 rad)."""
+    if abs(phi) < 2 * math.pi:
+        return phi
+    return math.atan2(math.sin(phi), math.cos(phi))
+
+
+def _phase_factors(phi: float, multipliers) -> np.ndarray:
+    """exp(-i c phi) for each integer c of `multipliers`, formed from
+    `_phase_residue(phi)`: every gate factor and synthesis target is built here."""
+    phi = _phase_residue(phi)
+    return np.array([complex(math.cos(c * phi), -math.sin(c * phi)) for c in multipliers],
+                    dtype=complex)
+
+
+def _require_type(value, cls: type, name: str) -> None:
+    """TypeError naming `name` unless `value` is a `cls`."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def _checked_tolerance(tol) -> float:
@@ -414,7 +430,7 @@ def phase_shifter(m: int, mode: int, phi: float) -> np.ndarray:
     """Identity except entry (mode, mode) = exp(-i*phi); mode is 1-based."""
     m = _checked_dimension(m, "m", 1)
     mode = _checked_mode(mode, m, f"mode {mode}")
-    phi = _wrapped_phase(_checked_real(phi, "phi"))
+    phi = _checked_real(phi, "phi")
     f = np.eye(m, dtype=complex)
     f[mode - 1, mode - 1] = complex(math.cos(phi), -math.sin(phi))
     return f

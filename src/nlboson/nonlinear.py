@@ -56,8 +56,9 @@ from .fock import (
 from .linalg import (
     _checked_mode,
     _checked_real,
+    _phase_factors,
     _read_only_copy,
-    _wrapped_phase,
+    _require_type,
     matrix_from_states,
     permanent,
     phase_shifter,
@@ -91,18 +92,12 @@ class SingleModePhase:
 
     def number_factors(self, n: int) -> np.ndarray:
         """Factors g_j = exp(-i j^2 phi) for j = 0..n photons at the gate site."""
-        phi = _wrapped_phase(self.phi)
-        return _unit_phases([-(j * j) * phi for j in range(n + 1)])
+        return _phase_factors(self.phi, [j * j for j in range(n + 1)])
 
     def linearized_factors(self, n: int) -> np.ndarray:
         """Factors g_j = exp(-i j phi) of the phase shifter exp(-i n_x phi) that
         stands in for the gate in the linearized benchmark."""
-        phi = _wrapped_phase(self.phi)
-        return _unit_phases([-j * phi for j in range(n + 1)])
-
-
-def _unit_phases(angles) -> np.ndarray:
-    return np.array([complex(math.cos(a), math.sin(a)) for a in angles], dtype=complex)
+        return _phase_factors(self.phi, range(n + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,10 +111,7 @@ class NonlinearExperiment:
     input_state: FockState
 
     def __post_init__(self):
-        if not isinstance(self.gate, SingleModePhase):
-            raise TypeError(
-                f"gate must be a SingleModePhase, got {type(self.gate).__name__}"
-            )
+        _require_type(self.gate, SingleModePhase, "gate")
         w = require_unitary(self.w, context="W")
         v = require_unitary(self.v, context="V")
         if v.shape != w.shape:
@@ -280,9 +272,10 @@ def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state,
     Equal to :func:`phase_gate_amplitude` to rounding.
     """
     exp = NonlinearExperiment(w, v, SingleModePhase(mode_x, phi), input_state)
-    s, x, phi = exp.input_state, exp.gate.mode, _wrapped_phase(exp.gate.phi)
+    s, x = exp.input_state, exp.gate.mode
     t = _checked_state(output_state, exp.m, exp.n, "output state")
-    ubar = linearized_evolution(exp.w, x, phi, exp.v)
+    ubar = linearized_evolution(exp.w, x, exp.gate.phi, exp.v)
+    corrections = exp.gate.number_factors(exp.n) - exp.gate.linearized_factors(exp.n)
     norm_s = math.sqrt(normalization_product(s))
     norm_t = math.sqrt(normalization_product(t))
     total = permanent(matrix_from_states(ubar, s, t)) / (norm_s * norm_t)
@@ -290,11 +283,9 @@ def phase_gate_amplitude_split(w, mode_x: int, phi: float, v, input_state,
         rx = r[x - 1]
         if rx <= 1:
             continue
-        phase_nl = complex(math.cos(rx * rx * phi), -math.sin(rx * rx * phi))
-        phase_lin = complex(math.cos(rx * phi), -math.sin(rx * phi))
         total += (
             permanent(matrix_from_states(exp.w, s, r))
-            * (phase_nl - phase_lin)
+            * complex(corrections[rx])
             * permanent(matrix_from_states(exp.v, r, t))
             / (norm_s * normalization_product(r) * norm_t)
         )

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import PostselectionError, SamplingBudgetError
 from .fock import FockState, StateSpace, concat_states, enumerate_states
 from .gadget import GadgetSpec, _require_gadget_for, heralded_factors
-from .linalg import _checked_count, direct_sum
+from .linalg import _checked_count, _require_type, direct_sum
 from .linear import Distribution, _amplitudes_to_all, _guard_space, _normalised_cdf
 from .nonlinear import NonlinearExperiment, SingleModePhase
 
@@ -63,10 +63,8 @@ class SimulationSetup:
     gadget: GadgetSpec
 
     def __post_init__(self):
-        for name, cls in (("experiment", NonlinearExperiment), ("gadget", GadgetSpec)):
-            value = getattr(self, name)
-            if not isinstance(value, cls):
-                raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        _require_type(self.experiment, NonlinearExperiment, "experiment")
+        _require_type(self.gadget, GadgetSpec, "gadget")
         _require_gadget_for(self.gadget, self.experiment.gate.phi, "the gadget")
 
     @property

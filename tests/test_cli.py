@@ -224,12 +224,12 @@ def test_simulate_command_byte_identical_reruns_at_the_benchmark_shape(tmp_path)
     assert runs[0][0].count(b"\n") == 5001
 
 
-def test_a_huge_phase_runs_as_its_value_mod_two_pi(tmp_path, capsys):
-    reduced = math.fmod(1e308, 2 * math.pi)
+def test_a_huge_phase_runs_as_its_residue_mod_two_pi(tmp_path, capsys):
+    residue = math.atan2(math.sin(1e308), math.cos(1e308))  # libm's exact reduction
     cfg = tmp_path / "exp.json"
     _write_experiment_config(cfg)
     texts = []
-    for phi in (1e308, reduced):
+    for phi in (1e308, residue):
         out = tmp_path / "nl.csv"
         assert main(["nonlinear-distribution", "--config", str(cfg), f"--phi={phi!r}",
                      "--out", str(out)]) == 0

@@ -238,21 +238,35 @@ def _phase_result(call, phi):
 PHASE_ROWS = [row for row in REALS if row[0] == "phi"]
 
 
-@pytest.mark.parametrize("phi", [1e308, -1e308])
+def _residue(phi: float) -> float:
+    """phi mod 2 pi in [-pi, pi], from libm's exactly reduced sine and cosine."""
+    return math.atan2(math.sin(phi), math.cos(phi))
+
+
+HUGE = [1e10, 1e15, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("phi", HUGE)
 @pytest.mark.parametrize("call", [row[3] for row in PHASE_ROWS],
                          ids=[row[2] for row in PHASE_ROWS])
-def test_a_huge_phase_computes_as_its_value_mod_two_pi(call, phi):
-    # a multiple j^2 phi of the huge phase would overflow to inf
+def test_a_huge_phase_computes_as_its_residue_mod_two_pi(call, phi):
+    # a multiple j^2 phi of 1e308 would overflow to inf, and the float 2*pi is
+    # no period: fmod(phi, 2*pi) misses the residue by 2e-6 rad at 1e10
     huge = _computed(_phase_result(call, phi))
     assert np.isfinite(huge).all()
-    assert np.array_equal(huge, _computed(_phase_result(call, math.fmod(phi, 2 * math.pi))))
+    assert np.allclose(huge, _computed(_phase_result(call, _residue(phi))), rtol=0, atol=1e-12)
 
 
-def test_a_phase_within_two_pi_is_its_own_reduction():
-    for phi in (0.0, -0.0, 1e-300, math.pi / 2, -math.pi, math.nextafter(2 * math.pi, 0.0)):
-        assert np.array_equal(SingleModePhase(1, phi).number_factors(4),
-                              [complex(math.cos(j * j * phi), -math.sin(j * j * phi))
-                               for j in range(5)])
+@pytest.mark.parametrize("phi", HUGE)
+def test_a_huge_phase_gate_factor_is_the_power_of_its_unit_factor(phi):
+    # exp(-i j^2 phi) = exp(-i phi)^(j^2), with exp(-i phi) from libm's cos and sin
+    unit = complex(math.cos(phi), -math.sin(phi))
+    gate = SingleModePhase(1, phi)
+    assert np.allclose(gate.number_factors(4), [unit ** (j * j) for j in range(5)],
+                       rtol=0, atol=1e-13)
+    assert np.allclose(gate.linearized_factors(4), [unit ** j for j in range(5)],
+                       rtol=0, atol=1e-13)
+    assert phase_shifter(2, 1, phi)[0, 0] == unit
 
 
 def test_a_range_check_runs_after_the_rule_and_keeps_its_wording():
