@@ -247,7 +247,7 @@ def tvd_bunching_experiment(
     gadgets: Mapping[int, GadgetSpec] | None = None,
     mode_x: int | None = None,
     starts: int = 60,
-    reference: str = "gadget",
+    reference: str = "pathsum",
     workers: int = 1,
 ) -> list[ExperimentRecord]:
     """TVD of the k-ancilla simulation against the exact evolution, next to
@@ -256,14 +256,17 @@ def tvd_bunching_experiment(
     One (W, V) pair is drawn per (m, trial) and evaluated at every k, so the
     per-k comparison is paired.  Each trial derives its stream from
     (seed, m, trial); results do not depend on `workers`.  The exact
-    reference is the k=n simulation by default ('gadget'), or the ideal gate
-    exp(-i n^2 phi) itself ('pathsum').  Each trial computes the
-    photon-number components of (W, V) once; the reference and every k are
-    factor vectors applied to them.
+    reference is the ideal gate exp(-i n^2 phi) by default ('pathsum'), or,
+    opt-in, the heralded k=n simulation ('gadget'), which reproduces it up
+    to that gadget's residual.  Each trial computes the photon-number
+    components of (W, V) once; the reference and every k are factor vectors
+    applied to them.
 
-    Each gadget it uses must sit under its own ancilla count in `gadgets`,
-    pass the gadget gate, :data:`nlboson.gadget.MAX_GADGET_DEVIATION`, and
-    target the experiment's `phi` exactly.
+    The gadgets it uses are one per k in `k_list`, plus k=n under
+    'gadget'; only those are synthesised when `gadgets` is None.  Each must
+    sit under its own ancilla count in `gadgets`, pass the gadget gate,
+    :data:`nlboson.gadget.MAX_GADGET_DEVIATION`, and target the
+    experiment's `phi` exactly.
     """
     n = _checked_dimension(n, "n", 0)
     m_list = [_checked_dimension(m, "m", 1) for m in m_list]

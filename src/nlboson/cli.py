@@ -415,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--mode-x", dest="mode_x", type=int, default=None)
     p.add_argument("--starts", type=int, default=60)
-    p.add_argument("--reference", choices=("gadget", "pathsum"), default="gadget")
+    p.add_argument("--reference", choices=("gadget", "pathsum"), default="pathsum",
+                   help="exact reference: the ideal gate (pathsum) or the k=n gadget")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -223,12 +223,12 @@ def test_criterion_08_cumulative_fractions():
     )
 
 
-def test_criterion_09_tvd_bunching_reduced_scale(gadget_k1, gadget_k2, gadget_k3):
+def test_criterion_09_tvd_bunching_reduced_scale(gadget_k1, gadget_k2):
     start = time.perf_counter()
     modes = [5, 9, 16, 27]
     records = tvd_bunching_experiment(
         3, modes, [1, 2], math.pi / 2, trials=50, seed=109,
-        gadgets={1: gadget_k1, 2: gadget_k2, 3: gadget_k3},
+        gadgets={1: gadget_k1, 2: gadget_k2},
     )
     means = {
         (m, k): np.mean([r.tvd for r in records if r.m == m and r.k == k])

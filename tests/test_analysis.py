@@ -258,7 +258,7 @@ def test_experiment_records_structure(gadget_k1, gadget_k2):
 
 
 def test_experiment_exactness_row(gadget_k2):
-    # k = n rows have zero distance to the reference by construction
+    # k = n rows sit within the gadget's residual of the ideal-gate reference
     records = tvd_bunching_experiment(
         2, [3], [2], math.pi / 2, trials=2, seed=8, gadgets={2: gadget_k2}
     )
@@ -288,12 +288,12 @@ def test_experiment_deterministic_and_worker_independent(gadget_k1, gadget_k2):
     assert a == c
 
 
-def test_more_ancillas_rarely_hurt(gadget_k1, gadget_k2, gadget_k3):
+def test_more_ancillas_rarely_hurt(gadget_k1, gadget_k2):
     # paired over 50 Haar draws: the two-ancilla simulation should beat the
     # one-ancilla simulation at least 90% of the time
     records = tvd_bunching_experiment(
         3, [6], [1, 2], math.pi / 2, trials=50, seed=13,
-        gadgets={1: gadget_k1, 2: gadget_k2, 3: gadget_k3},
+        gadgets={1: gadget_k1, 2: gadget_k2},
     )
     by_trial = {}
     for r in records:
@@ -364,10 +364,22 @@ def test_experiment_rejects_nonpositive_k_with_a_gadget_map(gadget_k1, gadget_k2
 
 
 def test_experiment_missing_gadget_detected(gadget_k1):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"missing ancilla counts \[2\]"):
         tvd_bunching_experiment(
-            2, [3], [1], math.pi / 2, trials=1, seed=1, gadgets={1: gadget_k1}
+            2, [3], [1], math.pi / 2, trials=1, seed=1, gadgets={1: gadget_k1},
+            reference="gadget",
         )
+
+
+def test_default_reference_needs_only_the_listed_gadgets(gadget_k1, gadget_k2):
+    # the ideal gate is the default reference, so no k = n = 3 gadget is needed
+    args = (3, [5], [1, 2], math.pi / 2)
+    kwargs = dict(trials=2, seed=14, gadgets={1: gadget_k1, 2: gadget_k2})
+    records = tvd_bunching_experiment(*args, **kwargs)
+    assert [(r.k, r.trial) for r in records] == [(1, 0), (2, 0), (1, 1), (2, 1)]
+    assert records == tvd_bunching_experiment(*args, reference="pathsum", **kwargs)
+    with pytest.raises(ValueError, match=r"gadget map is missing ancilla counts \[3\]"):
+        tvd_bunching_experiment(*args, reference="gadget", **kwargs)
 
 
 def _refuses_before_drawing(monkeypatch, error, message, **kwargs):
@@ -391,7 +403,7 @@ def test_experiment_refuses_a_gadget_of_another_phase(gadget_k2, monkeypatch):
                             gadgets={1: optimize_gadget(1, 0.3), 2: gadget_k2})
     # pi/2 gadgets in a phi = 0.3 study: the reference gadget (k = n) is checked too
     with pytest.raises(ValueError, match=r"gadget map entry k=2 realises phi=1.5707963267948966"):
-        tvd_bunching_experiment(2, [3], [1], 0.3, trials=1, seed=1,
+        tvd_bunching_experiment(2, [3], [1], 0.3, trials=1, seed=1, reference="gadget",
                                 gadgets={1: optimize_gadget(1, 0.3), 2: gadget_k2})
 
 
@@ -403,10 +415,11 @@ def test_experiment_refuses_a_gadget_beyond_the_gate(gadget_k1, monkeypatch):
     # the reference gadget (k = n) is gated too, with k = n absent from k_list
     with pytest.raises(NotUnitaryError, match="gadget k=2"):
         tvd_bunching_experiment(2, [3], [1], math.pi / 2, trials=1, seed=1,
-                                gadgets={1: gadget_k1, 2: bad})
+                                reference="gadget", gadgets={1: gadget_k1, 2: bad})
     # an entry that also targets another phase is refused by the gate first
     with pytest.raises(NotUnitaryError, match="gadget k=2"):
         tvd_bunching_experiment(2, [3], [1], math.pi / 2, trials=1, seed=1,
+                                reference="gadget",
                                 gadgets={1: gadget_k1, 2: GadgetSpec(0.3, bad.u_eff)})
 
 

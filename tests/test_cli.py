@@ -208,6 +208,15 @@ def test_experiment_command_byte_identical_reruns(tmp_path):
     assert "m=3,k=1" in summary and "m=4,k=1" in summary
 
 
+def test_experiment_reference_defaults_to_the_ideal_gate_in_the_sidecar(tmp_path):
+    out = tmp_path / "records.csv"
+    argv = ["experiment", "tvd-bunching", "--n", "1", "--modes", "2", "--k", "1",
+            "--trials", "1", "--out", str(out)]
+    assert main(argv) == 0
+    meta = json.loads((tmp_path / "records.csv.meta.json").read_text())
+    assert meta["config"]["reference"] == "pathsum"
+
+
 def test_simulate_command_byte_identical_reruns_at_the_benchmark_shape(tmp_path):
     # n = 3, m = 5 with the committed exact k = 3 gadget and 5000 samples
     gadget = Path(__file__).parent.parent / "perfbench" / "inputs" / "gadget_k3_pi2.json"

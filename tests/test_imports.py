@@ -55,6 +55,11 @@ run("experiment", "tvd-bunching", "--n", "1", "--modes", "2", "--k", "1", "--tri
     "--out", str(tmp / "records.csv"))
 stage("tvd-bunching k=1")
 
+# the default reference is the ideal gate, so an n = 3 study needs no k = 3 gadget
+run("experiment", "tvd-bunching", "--n", "3", "--modes", "5", "--k", "1", "--trials", "1",
+    "--out", str(tmp / "records3.csv"))
+stage("tvd-bunching n=3 k=1")
+
 try:
     optimize_gadget(2, math.pi / 2, starts=1, budget=5, rng=np.random.default_rng(0))
 except GadgetSynthesisError:
@@ -76,7 +81,8 @@ def loaded(tmp_path_factory):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("stage", ["import", "distribution", "simulate", "tvd-bunching k=1"])
+@pytest.mark.parametrize("stage", ["import", "distribution", "simulate", "tvd-bunching k=1",
+                                   "tvd-bunching n=3 k=1"])
 def test_commands_that_do_not_synthesise_load_neither_scipy_optimize_nor_the_pool(loaded,
                                                                                  stage):
     assert loaded[stage] == []
