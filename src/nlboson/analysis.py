@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DimensionError
 from .fock import FockState, _checked_dimension, as_state
 from .gadget import GadgetSpec, _checked_ancillas, _require_gadget_for, optimize_gadget
-from .linalg import _checked_count, _checked_mode, _checked_real, haar_unitary
+from .linalg import _checked_count, _checked_matrix, _checked_mode, _checked_real, haar_unitary
 from .linear import Distribution, _amplitudes_to_all, _unit_sum_distribution, output_distribution
 from .nonlinear import NonlinearExperiment, SingleModePhase, nonlinear_distribution
 from .simulate import _heralded_distribution
@@ -63,7 +63,7 @@ def bunching_at_site(w, input_state, mode_x: int, threshold: int) -> float:
     s = as_state(input_state)
     mode_x = _checked_mode(mode_x, len(s), f"mode {mode_x}")
     threshold = _checked_count(threshold, "threshold", 0)
-    dist = output_distribution(w, s)
+    dist = output_distribution(_checked_matrix(w, "W"), s)
     return _site_bunching_mass(dist, mode_x, threshold)
 
 
@@ -71,7 +71,7 @@ def bunching_global(w, input_state, threshold: int) -> float:
     """Probability that any mode holds more than `threshold` photons after `w`;
     `threshold` is a count, at least 0 (ValueError)."""
     threshold = _checked_count(threshold, "threshold", 0)
-    dist = output_distribution(w, input_state)
+    dist = output_distribution(_checked_matrix(w, "W"), input_state)
     return _global_bunching_mass(dist, threshold)
 
 

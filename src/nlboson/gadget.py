@@ -37,6 +37,7 @@ from .errors import DimensionError, GadgetSynthesisError
 from .fock import _checked_dimension, _is_integer
 from .linalg import (
     _checked_count,
+    _checked_matrix,
     _checked_real,
     _checked_tolerance,
     _mesh_unitary,
@@ -111,7 +112,8 @@ class GadgetSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "phi", _checked_real(self.phi, "phi"))
-        object.__setattr__(self, "u_eff", _read_only_copy(_checked_gadget_matrix(self.u_eff)))
+        u = _checked_matrix(self.u_eff, "u_eff", min_size=2)
+        object.__setattr__(self, "u_eff", _read_only_copy(u))
 
     @property
     def k(self) -> int:
@@ -124,15 +126,6 @@ class GadgetSpec:
     @property
     def residual(self) -> float:
         return _objective(gadget_residuals(self.u_eff, self.phi))
-
-
-def _checked_gadget_matrix(u_eff) -> np.ndarray:
-    u = np.asarray(u_eff, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 2:
-        raise DimensionError(f"expected a square matrix of size >= 2, got {u.shape}")
-    if not np.isfinite(u).all():
-        raise ValueError("matrix contains non-finite entries")
-    return u
 
 
 def _checked_ancillas(k) -> int:
@@ -167,19 +160,19 @@ def heralded_factors(u_eff, n: int) -> np.ndarray:
     every ancilla output holds one photon; photon conservation in the gadget
     makes this hold for every l, including l > k.
     """
-    u = _checked_gadget_matrix(u_eff)
+    u = _checked_matrix(u_eff, "u_eff", min_size=2)
     n = _checked_dimension(n, "n", 0)
     return _expanded_permanents(u, n) / _glynn_tables(u.shape[0] - 1, n).factorials
 
 
 def success_probability(u_eff) -> float:
     """Heralding probability |per(u_eff with row/column 1 removed)|^2."""
-    return _heralding_probability(_checked_gadget_matrix(u_eff))
+    return _heralding_probability(_checked_matrix(u_eff, "u_eff", min_size=2))
 
 
 def gadget_residuals(u_eff, phi: float) -> np.ndarray:
     """Condition residuals per(u^{l,..}) - l! * per(u^{0,..}) * e^{-i l^2 phi}."""
-    u = _checked_gadget_matrix(u_eff)
+    u = _checked_matrix(u_eff, "u_eff", min_size=2)
     phi = _checked_real(phi, "phi")
     k = u.shape[0] - 1
     pers = _expanded_permanents(u, k)
@@ -317,7 +310,7 @@ def apply_gadget(u_eff, coefficients) -> np.ndarray:
     amplitude, so |factor| <= 1.  A non-unitary matrix has no such bound, and
     this function does not check for one.
     """
-    u = _checked_gadget_matrix(u_eff)
+    u = _checked_matrix(u_eff, "u_eff", min_size=2)
     k = u.shape[0] - 1
     c = np.asarray(coefficients, dtype=complex)
     if c.shape != (k + 1,):

@@ -50,13 +50,37 @@ MAX_PERMANENTS_BYTES = 1 << 30
 _ROW_SUM_CHUNK = 4_000_000  # complex entries per chunk of row sums
 
 
-def _as_square(mat) -> np.ndarray:
-    a = np.asarray(mat, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
+def _checked_matrix(value, name: str, *, square: bool = True, min_size: int = 0) -> np.ndarray:
+    """`value` as complex128 (no copy if it is), by the one matrix rule: numbers of an
+    int, float or complex dtype, never a bool, and finite (else ValueError); 2-D and,
+    given `square`, square of side >= `min_size` (else DimensionError)."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # numpy refuses a ragged nesting
+        raise ValueError(f"{name} must be a matrix of numbers, got a ragged sequence") from None
+    if a is not value and a.dtype.kind in "iufc" and any(  # a list: numpy makes a bool an int
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat):
+        raise ValueError(f"{name} must be a matrix of numbers, got a bool entry")
+    if a.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must be a matrix of numbers, got dtype {a.dtype}")
+    if a.ndim != 2:
+        raise DimensionError(f"{name} must be a 2-D matrix, got shape {a.shape}")
+    if square and a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{name} must be square, got shape {a.shape}")
+    if a.shape[0] < min_size:
+        raise DimensionError(f"{name} must be at least {min_size}x{min_size}, got shape {a.shape}")
+    a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def _checked_pair(W, V) -> tuple[np.ndarray, np.ndarray]:
+    """W and V by :func:`_checked_matrix`, and of one shape (DimensionError)."""
+    w, v = _checked_matrix(W, "W"), _checked_matrix(V, "V")
+    if w.shape != v.shape:
+        raise DimensionError(f"W and V must have equal shapes, got {w.shape} and {v.shape}")
+    return w, v
 
 
 def _read_only_copy(a: np.ndarray) -> np.ndarray:
@@ -72,7 +96,7 @@ def permanent_naive(mat) -> complex:
     Deliberately unoptimized; serves as the independent oracle for the Ryser
     kernel and is refused above 9x9.
     """
-    a = _as_square(mat)
+    a = _checked_matrix(mat, "matrix")
     n = a.shape[0]
     if n > _NAIVE_MAX_SIZE:
         raise DimensionError(
@@ -96,8 +120,7 @@ def permanent(mat) -> complex:
     O(2^s * s) for an s x s matrix; the empty 0x0 matrix has permanent 1
     (required so vacuum amplitudes come out right).
     """
-    a = _as_square(mat)
-    return _ryser_gray(a.T.tolist())
+    return _ryser_gray(_checked_matrix(mat, "matrix").T.tolist())
 
 
 def _ryser_gray(cols: list[list[complex]]) -> complex:
@@ -219,9 +242,7 @@ def matrix_from_states(U, input_state: Sequence[int], output_state: Sequence[int
     for single-occupancy states this is plain row/column selection.  Both
     states must have U's m modes, and the output the input's photon number.
     """
-    u = np.asarray(U, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionError(f"expected a square mode unitary, got shape {u.shape}")
+    u = _checked_matrix(U, "U")
     s = _checked_state(input_state, len(u), None, "input state")
     t = _checked_state(output_state, len(u), sum(s), "output state")
     return u[np.ix_(occupation_indices(s), occupation_indices(t))]
@@ -243,10 +264,10 @@ def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
 
 def unitarity_deviation(U) -> float:
     """Max-norm deviation of U†U from the identity."""
-    return _deviation(_as_square(U))
+    return _deviation(_checked_matrix(U, "U"))
 
 
-def _deviation(u: np.ndarray) -> float:  # u as _as_square returns it
+def _deviation(u: np.ndarray) -> float:  # u as _checked_matrix returns it
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()) if u.size else 0.0
 
 
@@ -258,7 +279,7 @@ def require_unitary(U, tol: float = 1e-8, context: str = "") -> np.ndarray:
     must be positive and finite.
     """
     tol = _checked_tolerance(tol)
-    u = _as_square(U)
+    u = _checked_matrix(U, "U")
     dev = _deviation(u)
     if dev > tol:
         raise NotUnitaryError(dev, tol, context)
@@ -348,10 +369,8 @@ def _mesh_unitary_derivatives(m: int, thetas, phis, output_phases):
 
 def direct_sum(a, b) -> np.ndarray:
     """Block-diagonal composition of two matrices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError("direct_sum expects two 2-D matrices")
+    a = _checked_matrix(a, "a", square=False)
+    b = _checked_matrix(b, "b", square=False)
     out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
     out[: a.shape[0], : a.shape[1]] = a
     out[a.shape[0] :, a.shape[1] :] = b
@@ -441,9 +460,7 @@ def phase_shifter(m: int, mode: int, phi: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(mat) -> dict:
-    a = np.asarray(mat, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got shape {a.shape}")
+    a = _checked_matrix(mat, "matrix", square=False)
     data = [[float(v.real), float(v.imag)] for v in a.reshape(-1)]
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
@@ -465,10 +482,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             f"matrix JSON declares {rows}x{cols} but carries {len(data)} entries"
         )
     flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    a = flat.reshape(rows, cols)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix JSON contains non-finite entries")
-    return a
+    return _checked_matrix(flat.reshape(rows, cols), "matrix", square=False)
 
 
 def save_matrix(path, mat) -> None:

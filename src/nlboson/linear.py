@@ -27,6 +27,7 @@ from .fock import (
 )
 from .linalg import (
     _checked_count,
+    _checked_pair,
     gathered_permanents,
     matrix_from_states,
     permanent,
@@ -172,10 +173,9 @@ def verify_composition(W, V, input_state, output_state) -> float:
     |per((W@V)_{S,T}) - sum_R per(W_{S,R}) per(V_{R,T}) / prod r_i!|, which is
     zero (to rounding) under the package's composition convention.
     """
-    w = require_unitary(W, context="verify_composition: first factor")
-    v = require_unitary(V, context="verify_composition: second factor")
-    if w.shape != v.shape:
-        raise DimensionError(f"factor shapes differ: {w.shape} vs {v.shape}")
+    w, v = _checked_pair(W, V)
+    require_unitary(w, context="verify_composition: first factor")
+    require_unitary(v, context="verify_composition: second factor")
     s = as_state(input_state)
     _guard_space(len(w), photon_count(s), "verify_composition")
     # checks the input's modes and the output against it, before any space

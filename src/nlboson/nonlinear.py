@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
 from .fock import (
     FockState,
     StateSpace,
@@ -55,6 +54,7 @@ from .fock import (
 )
 from .linalg import (
     _checked_mode,
+    _checked_pair,
     _checked_real,
     _phase_factors,
     _read_only_copy,
@@ -112,10 +112,9 @@ class NonlinearExperiment:
 
     def __post_init__(self):
         _require_type(self.gate, SingleModePhase, "gate")
-        w = require_unitary(self.w, context="W")
-        v = require_unitary(self.v, context="V")
-        if v.shape != w.shape:
-            raise DimensionError(f"W and V must be equal square matrices, got {w.shape}, {v.shape}")
+        w, v = _checked_pair(self.w, self.v)
+        require_unitary(w, context="W")
+        require_unitary(v, context="V")
         s = _checked_state(self.input_state, len(w), None, "input state")
         _checked_mode(self.gate.mode, len(s), f"gate mode {self.gate.mode}")
         object.__setattr__(self, "w", _read_only_copy(w))
@@ -222,10 +221,7 @@ def linearized_evolution(w, mode_x: int, phi: float, v) -> np.ndarray:
 
     The sequence W, then exp(-i n_x phi), then V, i.e. W @ F @ V.
     """
-    w = np.asarray(w, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if w.shape != v.shape or w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DimensionError(f"W and V must be equal square matrices, got {w.shape}, {v.shape}")
+    w, v = _checked_pair(w, v)
     return w @ phase_shifter(w.shape[0], mode_x, phi) @ v
 
 

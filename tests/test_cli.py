@@ -623,13 +623,13 @@ def test_gadget_without_ancillas_is_an_error_line(tmp_path, capsys):
     gadget = tmp_path / "g0.json"
     gadget.write_text(json.dumps({"k": 0, "phi": 0.0, "u_eff": matrix_to_json(np.eye(1))}))
     _assert_error_line(capsys, main(["gadget", "verify", "--gadget", str(gadget)]),
-                       "expected a square matrix of size >= 2")
+                       "u_eff must be at least 2x2, got shape (1, 1)")
     cfg = tmp_path / "exp.json"
     _write_experiment_config(cfg)
     out = tmp_path / "samples.csv"
     code = main(["simulate", "--config", str(cfg), "--gadget", str(gadget), "--samples", "10",
                  "--out", str(out)])
-    _assert_error_line(capsys, code, "expected a square matrix of size >= 2")
+    _assert_error_line(capsys, code, "u_eff must be at least 2x2, got shape (1, 1)")
     assert not out.exists()
 
 

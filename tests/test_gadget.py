@@ -415,7 +415,7 @@ def test_apply_gadget_size_check():
     with pytest.raises(DimensionError):
         apply_gadget(np.eye(3), np.array([1.0, 0.0]))
     # the matrix is checked before its size is read
-    with pytest.raises(DimensionError, match="expected a square matrix of size >= 2"):
+    with pytest.raises(DimensionError, match=r"^u_eff must be a 2-D matrix, got shape \(\)$"):
         apply_gadget(5, [1])
 
 
@@ -545,8 +545,8 @@ def test_an_edited_figure_in_a_gadget_file_is_recomputed(tmp_path, gadget_k2):
 @pytest.mark.parametrize("k, u, error, message", [
     (1, np.array([[1.0, math.nan], [0.0, 1.0]]), ValueError, "non-finite"),
     (1, np.array([[math.inf, 0.0], [0.0, 1.0]]), ValueError, "non-finite"),
-    (1, np.ones((2, 3)), DimensionError, "square matrix of size >= 2"),
-    (0, np.ones((1, 1)), DimensionError, "square matrix of size >= 2"),
+    (1, np.ones((2, 3)), DimensionError, "u_eff must be square, got shape"),
+    (0, np.ones((1, 1)), DimensionError, "u_eff must be at least 2x2, got shape"),
 ])
 def test_gadget_spec_refuses_a_matrix_it_cannot_hold(k, u, error, message):
     # k is the ancilla count a gadget file claims; the matrix is refused first

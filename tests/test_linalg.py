@@ -195,16 +195,17 @@ def test_matrix_from_states_rejects_photon_mismatch():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: matrix_from_states(np.ones((2, 3)), (1, 0), (1, 0)),
-     r"expected a square mode unitary, got shape \(2, 3\)"),
+     r"U must be square, got shape \(2, 3\)"),
     (lambda: matrix_from_states(np.eye(2), (1, 0, 0), (1, 0)),
      "input state has 3 modes, expected 2"),
     (lambda: permanents(np.ones((2, 2, 3))), r"expected a \(B, s, s\) stack"),
     (lambda: permanents(np.ones((2, 2))), r"expected a \(B, s, s\) stack"),
     (lambda: gathered_permanents(np.eye(3), np.zeros((2, 2), int), np.zeros((3, 2), int)),
      "row and column index shapes differ"),
-    (lambda: matrix_to_json(np.ones(3)), r"expected a 2-D matrix, got shape \(3,\)"),
-    (lambda: direct_sum(np.ones(3), np.eye(2)), "direct_sum expects two 2-D matrices"),
-    (lambda: direct_sum(np.eye(2), np.ones((1, 2, 2))), "direct_sum expects two 2-D matrices"),
+    (lambda: matrix_to_json(np.ones(3)), r"matrix must be a 2-D matrix, got shape \(3,\)"),
+    (lambda: direct_sum(np.ones(3), np.eye(2)), r"a must be a 2-D matrix, got shape \(3,\)"),
+    (lambda: direct_sum(np.eye(2), np.ones((1, 2, 2))),
+     r"b must be a 2-D matrix, got shape \(1, 2, 2\)"),
     (lambda: haar_unitary(0, np.random.default_rng(0)), "m must be at least 1, got m=0"),
 ], ids=["matrix_from_states non-square", "matrix_from_states modes", "permanents 3-D",
         "permanents 2-D", "gathered_permanents", "matrix_to_json", "direct_sum first",
@@ -340,7 +341,7 @@ def test_matrix_json_rejects_malformed():
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "data": []})
     # a JSON NaN parses as a float; the matrix is refused as non-finite
-    with pytest.raises(ValueError, match="matrix JSON contains non-finite entries"):
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
         matrix_from_json(json.loads('{"rows": 1, "cols": 1, "data": [[NaN, 0]]}'))
 
 

@@ -82,7 +82,7 @@ def test_amplitude_rejects_photon_mismatch():
 @pytest.mark.parametrize("call, message", [
     (lambda: output_distribution(np.eye(3), (1, 1)), "input state has 2 modes, expected 3"),
     (lambda: verify_composition(np.eye(2), np.eye(3), (1, 0), (1, 0)),
-     r"factor shapes differ: \(2, 2\) vs \(3, 3\)"),
+     r"W and V must have equal shapes, got \(2, 2\) and \(3, 3\)"),
     (lambda: verify_composition(np.eye(2), np.eye(2), (1, 1), (1, 0)),
      "output state has 1 photons, expected 2"),
 ], ids=["output_distribution modes", "verify_composition shapes",

@@ -365,7 +365,8 @@ def test_non_linear_routes_share_one_intermediate_space_guard(entry):
 
 
 def test_linearized_evolution_refuses_unequal_networks():
-    with pytest.raises(DimensionError, match="W and V must be equal square matrices"):
+    with pytest.raises(DimensionError,
+                       match=r"^W and V must have equal shapes, got \(2, 2\) and \(3, 3\)$"):
         linearized_evolution(np.eye(2), 1, 0.3, np.eye(3))
 
 

@@ -2,10 +2,10 @@
 for its occupations (integers of any int type, never a bool, a float or a
 string, and never cast) and `fock._checked_state` for its modes and photons.
 Each entry refuses a bad state with one of three messages before it builds a
-state space or takes a permanent.  The last three tests read the signatures
-of the public names, so a new entry that takes a state, a count or a real must
-join this table, the count table of test_counts or the real table of
-test_reals."""
+state space or takes a permanent.  The last four tests read the signatures
+of the public names, so a new entry that takes a state, a count, a real or a
+matrix must join this table, the count table of test_counts, the real table
+of test_reals or the matrix table of test_matrices."""
 
 import inspect
 
@@ -37,6 +37,7 @@ from nlboson import (
 )
 from nlboson import cli, fock, linalg, linear, nonlinear, simulate
 from tests.test_counts import COUNTS
+from tests.test_matrices import MATRICES
 from tests.test_reals import REALS
 
 EYE = np.eye(3)
@@ -175,6 +176,10 @@ COUNT_EXEMPT = {"AcceptanceStats", "ExperimentRecord", "SamplingBudgetError"}
 REAL_PARAMETERS = {"phi", "p", "p_th", "tol", "tolerance"}
 # a record and an error that report a real, and tvd, whose p is a distribution
 REAL_EXEMPT = {"ExperimentRecord", "NotUnitaryError", "tvd"}
+MATRIX_PARAMETERS = {"U", "W", "V", "w", "v", "u_eff", "mat", "mats", "a", "b"}
+# the batched permanent kernels read arrays their callers checked, and
+# concat_states' a and b are states
+MATRIX_EXEMPT = {"permanents", "gathered_permanents", "concat_states"}
 
 
 def _public_parameters():
@@ -221,3 +226,13 @@ def test_every_public_real_is_in_the_real_table():
     assert sorted(tabled - takes) == []  # every row names a real parameter
     assert sorted(REAL_EXEMPT - {name for name, _ in takes}) == []
     assert len(tabled) == len(REALS) >= 15  # the scan found the public names
+
+
+def test_every_public_matrix_is_in_the_matrix_table():
+    takes = {(name, param) for name, params in _public_parameters().items()
+             for param in params & MATRIX_PARAMETERS}
+    tabled = {(entry, param) for entry, param, *_ in MATRICES}
+    assert sorted({t for t in takes if t[0] not in MATRIX_EXEMPT} - tabled) == []
+    assert sorted(tabled - takes) == []  # every row names a matrix parameter
+    assert sorted(MATRIX_EXEMPT - {name for name, _ in takes}) == []
+    assert len(tabled) == len(MATRICES) >= 30  # the scan found the public names
