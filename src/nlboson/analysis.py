@@ -215,7 +215,9 @@ def _experiment_trial(args) -> list[ExperimentRecord]:
     else:  # "pathsum", checked by tvd_bunching_experiment
         exact = nonlinear_distribution(exp)
     # the bunching masses read the distribution after W, from the checked exp.w
-    intermediate = _unit_sum_distribution(space, _amplitudes_to_all(exp.w, s, space), exp.w)
+    # and the deviation its check found
+    intermediate = _unit_sum_distribution(space, _amplitudes_to_all(exp.w, s, space),
+                                          exp._deviations[0])
     records = []
     for k in k_list:
         dist_k, p_ps = _heralded_distribution(space, components, gadgets[k].u_eff)

@@ -33,6 +33,7 @@ from .analysis import (
 from .errors import BosonError
 from .fock import _checked_state, format_state, parse_state
 from .gadget import (
+    DEFAULT_SUCCESS_THRESHOLDS,
     load_gadget,
     optimize_gadget,
     reference_gadget,
@@ -377,8 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = gsub.add_parser("optimize", help="synthesize a gadget")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--phi", type=float, default=DEFAULT_PHI)
+    defaults = ", ".join(f"{p_th:g} for k={k}" for k, p_th in DEFAULT_SUCCESS_THRESHOLDS.items())
     p.add_argument("--p-th", dest="p_th", type=float, default=None,
-                   help="success-probability threshold (default depends on k)")
+                   help=f"success-probability threshold; the default depends on k: "
+                        f"{defaults}, set at phi = pi/2 and often too high at other phases")
     p.add_argument("--starts", type=int, default=50)
     p.add_argument("--budget", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)

@@ -40,6 +40,7 @@ from .linalg import (
     _checked_matrix,
     _checked_real,
     _checked_tolerance,
+    _deviation,
     _mesh_unitary,
     _mesh_unitary_derivatives,
     _phase_factors,
@@ -47,11 +48,10 @@ from .linalg import (
     _read_only_copy,
     _require_type,
     _ryser_gray,
+    _unitarity_gate,
     matrix_from_json,
     matrix_to_json,
     phase_shifter,
-    require_unitary,
-    unitarity_deviation,
 )
 
 __all__ = [
@@ -138,10 +138,10 @@ def _checked_ancillas(k) -> int:
     return k
 
 
-def _require_usable_gadget(u_eff, context: str) -> None:
-    """NotUnitaryError if `u_eff` deviates from unitarity by more than
-    MAX_GADGET_DEVIATION, the gate of every circuit that embeds a gadget."""
-    require_unitary(u_eff, MAX_GADGET_DEVIATION, context)
+def _require_usable_gadget(u: np.ndarray, context: str) -> None:
+    """NotUnitaryError if the checked gadget matrix `u` deviates from unitarity
+    by more than MAX_GADGET_DEVIATION, the gate of every circuit that embeds a gadget."""
+    _unitarity_gate(u, MAX_GADGET_DEVIATION, context)
 
 
 def _require_gadget_for(spec: GadgetSpec, phi: float, context: str) -> None:
@@ -522,7 +522,7 @@ def verify_gadget(spec: GadgetSpec, tol: float = 1e-6) -> dict:
     tol = _checked_tolerance(tol)
     res = gadget_residuals(spec.u_eff, spec.phi)
     max_res = float(np.abs(res).max())
-    dev = unitarity_deviation(spec.u_eff)
+    dev = _deviation(spec.u_eff)
     return {
         "k": spec.k,
         "phi": spec.phi,
@@ -554,13 +554,13 @@ def gadget_from_json(obj: dict) -> GadgetSpec:
     """The gadget a JSON object describes.  Its ``phi`` must be a JSON number,
     never cast, and its ``k`` the JSON integer its ``u_eff`` gives;
     ``success_prob`` and ``residual`` are not read."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed gadget JSON: expected an object, got {type(obj).__name__}")
     try:
         k = obj["k"]
         spec = GadgetSpec(obj["phi"], matrix_from_json(obj["u_eff"]))
     except KeyError as exc:
         raise ValueError(f"malformed gadget JSON: missing {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"malformed gadget JSON: {exc}") from None
     if type(k) is not int or k != spec.k:
         raise ValueError(f"malformed gadget JSON: k={k!r}, but its matrix gives k={spec.k}")
     return spec

@@ -44,6 +44,8 @@ __all__ = [
 
 _NAIVE_MAX_SIZE = 9
 
+_UNITARITY_TOL = 1e-8  # the library's one unitarity gate (see require_unitary)
+
 # Working memory the batched Ryser kernel may allocate: its (2^s - 1, s)
 # subset masks plus one chunk of (2^s - 1, s) complex row sums.
 MAX_PERMANENTS_BYTES = 1 << 30
@@ -271,19 +273,27 @@ def _deviation(u: np.ndarray) -> float:  # u as _checked_matrix returns it
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()) if u.size else 0.0
 
 
-def require_unitary(U, tol: float = 1e-8, context: str = "") -> np.ndarray:
+def require_unitary(U, tol: float = _UNITARITY_TOL, context: str = "") -> np.ndarray:
     """U as a complex array, or NotUnitaryError if max |U†U - I| exceeds `tol`.
 
     The default 1e-8 is the library's one unitarity gate: every linear network
-    and every W -> gate -> V sandwich is checked here, at that value.  `tol`
-    must be positive and finite.
+    and every W -> gate -> V sandwich is checked at that value, here or by
+    :func:`_unitarity_gate`.  `tol` must be positive and finite.
     """
     tol = _checked_tolerance(tol)
     u = _checked_matrix(U, "U")
+    _unitarity_gate(u, tol, context)
+    return u
+
+
+def _unitarity_gate(u: np.ndarray, tol: float, context: str = "") -> float:
+    """The deviation of a checked matrix `u`, or NotUnitaryError past `tol`:
+    :func:`require_unitary` once the caller has checked `u` itself, so it can
+    keep the deviation for the tolerances that scale with it."""
     dev = _deviation(u)
     if dev > tol:
         raise NotUnitaryError(dev, tol, context)
-    return u
+    return dev
 
 
 @functools.lru_cache(maxsize=None)
@@ -466,10 +476,12 @@ def matrix_to_json(mat) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed matrix JSON: expected an object, got {type(obj).__name__}")
     try:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"malformed matrix JSON: missing {exc}") from None
     for key, value in (("rows", rows), ("cols", cols)):
         if type(value) is not int or value < 0:  # a JSON integer, never cast
             raise ValueError(f"malformed matrix JSON: {key} must be an integer >= 0, got {value!r}")

@@ -26,13 +26,15 @@ from .fock import (
     space_size,
 )
 from .linalg import (
+    _UNITARITY_TOL,
     _checked_count,
+    _checked_matrix,
     _checked_pair,
+    _unitarity_gate,
     gathered_permanents,
     matrix_from_states,
     permanent,
     require_unitary,
-    unitarity_deviation,
 )
 
 __all__ = [
@@ -113,28 +115,32 @@ def _amplitudes_to_all(U, input_state, space: StateSpace) -> np.ndarray:
     return pers / (norm_in * np.sqrt(space.norms))
 
 
-def _unit_sum_distribution(space: StateSpace, amps, *unitaries) -> Distribution:
-    """|amps|^2 over `space`, gated on summing to one as a unitary evolution must.
-
-    The tolerance scales with the worst unitarity deviation of `unitaries`.
-    """
+def _unit_sum_distribution(space: StateSpace, amps, dev: float) -> Distribution:
+    """|amps|^2 over `space`, gated by :func:`_require_unit_sum` on summing to
+    one as a unitary evolution must; `dev` is the worst unitarity deviation of
+    the evolution's networks."""
     probs = np.abs(amps) ** 2
-    total = probs.sum()
-    dev = max(unitarity_deviation(u) for u in unitaries)
-    tol = max(1e-9, 20 * space.m * dev)
+    _require_unit_sum(probs.sum(), space.m, dev)
+    return Distribution(space, probs)
+
+
+def _require_unit_sum(total, m: int, dev: float) -> None:
+    """ValueError unless `total`, the probability of every outcome over `m`
+    modes, is one within a tolerance that scales with `dev`."""
+    tol = max(1e-9, 20 * m * dev)
     if abs(total - 1.0) > tol:
         raise ValueError(
             f"output distribution sums to {total!r}, expected 1 within {tol:.1e}"
         )
-    return Distribution(space, probs)
 
 
 def output_distribution(U, input_state) -> Distribution:
     """|amplitude|^2 over the full output space; sums to one for a unitary U."""
-    u = require_unitary(U, context="output_distribution")
+    u = _checked_matrix(U, "U")
+    dev = _unitarity_gate(u, _UNITARITY_TOL, "output_distribution")
     s = _checked_state(input_state, u.shape[0], None, "input state")
     space = enumerate_states(len(s), photon_count(s))
-    return _unit_sum_distribution(space, _amplitudes_to_all(u, s, space), u)
+    return _unit_sum_distribution(space, _amplitudes_to_all(u, s, space), dev)
 
 
 def _normalised_cdf(probs: np.ndarray) -> np.ndarray:
@@ -174,8 +180,8 @@ def verify_composition(W, V, input_state, output_state) -> float:
     zero (to rounding) under the package's composition convention.
     """
     w, v = _checked_pair(W, V)
-    require_unitary(w, context="verify_composition: first factor")
-    require_unitary(v, context="verify_composition: second factor")
+    _unitarity_gate(w, _UNITARITY_TOL, "verify_composition: first factor")
+    _unitarity_gate(v, _UNITARITY_TOL, "verify_composition: second factor")
     s = as_state(input_state)
     _guard_space(len(w), photon_count(s), "verify_composition")
     # checks the input's modes and the output against it, before any space

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,18 +53,20 @@ from .fock import (
     photon_count,
 )
 from .linalg import (
+    _UNITARITY_TOL,
     _checked_mode,
     _checked_pair,
     _checked_real,
     _phase_factors,
     _read_only_copy,
     _require_type,
+    _unitarity_gate,
     matrix_from_states,
     permanent,
     phase_shifter,
-    require_unitary,
 )
-from .linear import Distribution, _amplitudes_to_all, _guard_space, _unit_sum_distribution
+from .linear import (Distribution, _amplitudes_to_all, _guard_space, _require_unit_sum,
+                     _unit_sum_distribution)
 
 __all__ = [
     "SingleModePhase",
@@ -103,23 +105,27 @@ class SingleModePhase:
 @dataclass(frozen=True, eq=False)
 class NonlinearExperiment:
     """Input state plus the W -> gate -> V sandwich, checked on construction;
-    W and V are kept as read-only copies, so a caller editing its arrays changes nothing."""
+    W and V are kept as read-only copies, so a caller editing its arrays changes nothing.
+    The unitarity deviations of W and V, found by that check, are kept for every
+    gate of the experiment whose tolerance scales with them."""
 
     w: np.ndarray
     v: np.ndarray
     gate: SingleModePhase
     input_state: FockState
+    _deviations: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         _require_type(self.gate, SingleModePhase, "gate")
         w, v = _checked_pair(self.w, self.v)
-        require_unitary(w, context="W")
-        require_unitary(v, context="V")
+        deviations = (_unitarity_gate(w, _UNITARITY_TOL, "W"),
+                      _unitarity_gate(v, _UNITARITY_TOL, "V"))
         s = _checked_state(self.input_state, len(w), None, "input state")
         _checked_mode(self.gate.mode, len(s), f"gate mode {self.gate.mode}")
         object.__setattr__(self, "w", _read_only_copy(w))
         object.__setattr__(self, "v", _read_only_copy(v))
         object.__setattr__(self, "input_state", s)
+        object.__setattr__(self, "_deviations", deviations)
 
     @property
     def m(self) -> int:
@@ -136,9 +142,15 @@ class NonlinearExperiment:
     @functools.cached_property
     def components(self) -> tuple[StateSpace, np.ndarray]:
         """``(space, A)`` of :func:`photon_number_components`, computed on first use
-        and kept read-only for the experiment's lifetime: (n+1) * len(space) * 16 B."""
+        and kept read-only for the experiment's lifetime: (n+1) * len(space) * 16 B.
+
+        V is unitary, so sum_T |A_j(T)|^2 is the probability of j photons at the
+        gate mode after W, and the whole of A sums to one in squared modulus; it
+        is gated on that as a distribution of the sandwich is
+        (:func:`nlboson.linear._require_unit_sum`)."""
         space = self.space()
         a = _tagged_components(self.w, self.v, self.gate.mode, self.input_state, space)
+        _require_unit_sum(np.vdot(a, a).real, space.m, max(self._deviations))
         a.setflags(write=False)
         return space, a
 
@@ -302,4 +314,4 @@ def _layer_distribution(exp: NonlinearExperiment, factors: np.ndarray) -> Distri
     """|factors @ A|^2 over the experiment's space, for a layer of unit-modulus
     factors g_j, which keeps the evolution unitary."""
     space, components = exp.components
-    return _unit_sum_distribution(space, factors @ components, exp.w, exp.v)
+    return _unit_sum_distribution(space, factors @ components, max(exp._deviations))

@@ -27,8 +27,9 @@ import numpy as np
 from .errors import PostselectionError, SamplingBudgetError
 from .fock import FockState, StateSpace, concat_states, enumerate_states
 from .gadget import GadgetSpec, _require_gadget_for, heralded_factors
-from .linalg import _checked_count, _require_type, direct_sum
-from .linear import Distribution, _amplitudes_to_all, _guard_space, _normalised_cdf
+from .linalg import _checked_count, _deviation, _require_type, direct_sum
+from .linear import (Distribution, _amplitudes_to_all, _guard_space, _normalised_cdf,
+                     _unit_sum_distribution)
 from .nonlinear import NonlinearExperiment, SingleModePhase
 
 __all__ = [
@@ -252,5 +253,8 @@ def _heralded_classifier(probs: np.ndarray, accept_mask: np.ndarray):
 
 
 def _enlarged_output_probs(setup: SimulationSetup, space) -> np.ndarray:
-    amps = _amplitudes_to_all(setup.enlarged_unitary, setup.enlarged_input, space)
-    return np.abs(amps) ** 2
+    """Probabilities of the enlarged system over `space`, gated on summing to one
+    at the tolerance of the enlarged unitary's deviation."""
+    u = setup.enlarged_unitary
+    amps = _amplitudes_to_all(u, setup.enlarged_input, space)
+    return _unit_sum_distribution(space, amps, _deviation(u)).probs

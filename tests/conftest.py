@@ -73,10 +73,10 @@ def spy(monkeypatch):
 
 
 def check_contexts(calls) -> list[str]:
-    """The sorted `context` arguments of recorded ``require_unitary`` calls."""
+    """The sorted `context` arguments of recorded ``linalg._unitarity_gate`` calls."""
     return sorted(kwargs.get("context", args[2] if len(args) > 2 else "") for args, kwargs in calls)
 
 
 def network_checks(calls) -> list[str]:
-    """The checks of a sandwich's W and V among recorded ``require_unitary`` calls."""
+    """The checks of a sandwich's W and V among recorded unitarity-gate calls."""
     return [c for c in check_contexts(calls) if c in ("W", "V")]

@@ -70,8 +70,8 @@ def expanded_gadget_matrix(u_eff, l: int) -> np.ndarray:
 
     Removed entirely for l = 0.  per(u^{l,1,...,1}) / l! is the heralded
     factor of the signal's l-photon component; any l >= 0 is allowed, since
-    l > k photons still herald (with an unintended factor).  Checks its
-    input as the library's gadget entries do.
+    l > k photons still herald (with an unintended factor).  Refuses a
+    matrix that is not a finite square of size >= 2.
     """
     u = np.asarray(u_eff, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 2:

@@ -424,12 +424,20 @@ def test_experiment_refuses_a_gadget_beyond_the_gate(gadget_k1, monkeypatch):
 
 
 def test_each_trial_checks_its_networks_once(gadget_k1, gadget_k2, spy):
-    checks = spy(linalg, "require_unitary")
+    checks = spy(linalg, "_unitarity_gate")
     tvd_bunching_experiment(2, [3], [1, 2], math.pi / 2, trials=3, seed=11,
                             gadgets={1: gadget_k1, 2: gadget_k2})
     # W and V once per trial; the bunching masses reuse the checked W
     networks = [c for c in check_contexts(checks) if not c.startswith("gadget")]
     assert networks == ["V"] * 3 + ["W"] * 3
+
+
+def test_each_trial_computes_the_deviations_of_its_networks_once(gadget_k1, gadget_k2, spy):
+    deviations = spy(linalg, "_deviation")
+    tvd_bunching_experiment(2, [3], [1, 2], math.pi / 2, trials=3, seed=11,
+                            gadgets={1: gadget_k1, 2: gadget_k2})
+    # one per gadget per study; W's and V's per trial, read by every gate after
+    assert len(deviations) == 2 + 2 * 3
 
 
 def test_summary_and_csv(tmp_path, gadget_k1, gadget_k2):

@@ -445,6 +445,18 @@ def test_malformed_matrix_entry_is_an_error_line(tmp_path, capsys, data):
     _assert_error_line(capsys, code, "malformed matrix JSON")
 
 
+@pytest.mark.parametrize("command, flag, kind", [
+    ("permanent", "--matrix", "matrix"), ("gadget verify", "--gadget", "gadget"),
+], ids=["matrix", "gadget"])
+def test_a_json_file_that_is_not_an_object_names_what_it_holds(tmp_path, capsys, command,
+                                                               flag, kind):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]\n")
+    assert main([*command.split(), flag, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: malformed {kind} JSON: expected an object, got list\n")
+
+
 def test_gadget_file_holding_an_array_is_an_error_line(tmp_path, capsys):
     gadget = tmp_path / "list.json"
     gadget.write_text("[1, 2]\n")
@@ -712,7 +724,7 @@ def test_each_network_is_checked_once_and_each_sandwich_decomposed_once(tmp_path
     save_gadget(tmp_path / "ref2.json", reference_gadget(2))
     cfg = tmp_path / "exp.json"
     _write_experiment_config(cfg, phi=math.pi / 2, gadget=tmp_path / "ref2.json")
-    checks = spy(nlboson.linalg, "require_unitary")
+    checks = spy(nlboson.linalg, "_unitarity_gate")
     # one tagged recursion per photon-number decomposition
     passes = spy(nlboson.nonlinear, "_tagged_components")
     out = str(tmp_path / "samples.csv")

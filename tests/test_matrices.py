@@ -231,9 +231,3 @@ def test_save_matrix_refuses_what_load_matrix_refuses_and_writes_no_file(tmp_pat
     with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
         save_matrix(path, NAN)
     assert not path.exists()
-
-
-def test_linearized_evolution_refuses_a_nan_network():
-    # it returned an all-NaN matrix
-    with pytest.raises(ValueError, match="^V contains non-finite entries$"):
-        linearized_evolution(EYE, 2, 0.3, NAN)

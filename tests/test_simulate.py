@@ -27,6 +27,7 @@ from nlboson import (
     tvd,
     unitarity_deviation,
 )
+from nlboson import nonlinear, simulate
 from nlboson.fock import enumerate_states
 from nlboson.gadget import MAX_GADGET_DEVIATION, gadget_from_json
 from nlboson.linear import Distribution, _inverse_sample, _normalised_cdf
@@ -498,3 +499,33 @@ def test_saturation_for_too_few_ancillas(gadget_k1, gadget_k2):
         freq[exact.space.rank(state)] += 1
     emp = Distribution(exact.space, freq / len(samples))
     assert abs(tvd(emp, exact) - floor) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# the sums-to-one gates of the heralded path and the enlarged pass
+# ---------------------------------------------------------------------------
+
+def test_wrong_components_are_refused_before_the_heralded_distribution(monkeypatch):
+    # the heralded factors are not unit-modulus, so only the components' own
+    # gate stands between a wrong A and a renormalised distribution
+    original = nonlinear._tagged_components
+    monkeypatch.setattr(nonlinear, "_tagged_components",
+                        lambda *args: 1.01 * original(*args))
+    rng = np.random.default_rng(70)
+    setup = build_setup(haar_unitary(4, rng), haar_unitary(4, rng), 2, (1, 1, 0, 0),
+                        reference_gadget(2))
+    with pytest.raises(ValueError, match=r"^output distribution sums to .*, expected 1 within "):
+        postselected_distribution(setup)
+
+
+class _NoDraws:
+    def random(self, *args, **kwargs):
+        raise AssertionError("drew before checking the enlarged pass")
+
+
+def test_a_wrong_enlarged_pass_is_refused_before_any_draw(monkeypatch):
+    original = simulate._amplitudes_to_all
+    monkeypatch.setattr(simulate, "_amplitudes_to_all", lambda *args: 1.01 * original(*args))
+    setup = build_setup(np.eye(3), np.eye(3), 2, (1, 1, 0), reference_gadget(2))
+    with pytest.raises(ValueError, match=r"^output distribution sums to .*, expected 1 within "):
+        run_rejection_sampling(setup, 10, _NoDraws())
